@@ -233,10 +233,7 @@ def _load_relations(arg, field):
 def cmd_nichols_integral(args):
     space, rels, integral, chain = presentations.integral_preset(args.preset)
     K = space.field
-    vec = {tuple(integral): K.one}
-    for x in reversed(chain):
-        vec = nichols.derive(space, x, vec)
-    val = vec.get((), K.zero)
+    val = nichols.derive_chain(space, chain, {tuple(integral): K.one}).get((), K.zero)
     payload = {
         "preset": args.preset,
         "value": K.to_str(val),
@@ -278,7 +275,7 @@ def cmd_classify(args):
 
 
 def cmd_verify_paper(args):
-    t0 = time.time()
+    t0 = time.perf_counter()
     report = verify.verify_paper(profile=args.profile, threads=args.threads)
     payload = report.to_payload()
     if args.format == "json":
@@ -292,7 +289,7 @@ def cmd_verify_paper(args):
             print(line)
         print(
             "%d checks, %d mismatches, %.1f s"
-            % (len(report.entries), len(report.failures()), time.time() - t0)
+            % (len(report.entries), len(report.failures()), time.perf_counter() - t0)
         )
     return EXIT_OK if report.ok() else EXIT_MISMATCH
 

@@ -381,46 +381,8 @@ class QuotientRing(Field):
 
     # -- parsing / printing --
 
-    _TERM = re.compile(r"^([+-]?[^+-]*(?:/[0-9]+)?)")
-
     def parse(self, s):
-        s = s.strip().replace("−", "-").replace(" ", "")
-        s = s.replace("q", "t")  # "q" aliases the generator in cocycle files
-        if not s:
-            raise ValueError("empty scalar")
-        acc = self.zero
-        i = 0
-        while i < len(s):
-            j = i + 1
-            while j < len(s) and s[j] not in "+-":
-                j += 1
-            acc = self.add(acc, self._parse_term(s[i:j]))
-            i = j
-        return acc
-
-    def _parse_term(self, term):
-        sign = 1
-        if term.startswith("+"):
-            term = term[1:]
-        elif term.startswith("-"):
-            sign = -1
-            term = term[1:]
-        if "t" in term:
-            coef_s, _, pow_s = term.partition("t")
-            coef_s = coef_s.rstrip("*")
-            coef = self.base.parse(coef_s) if coef_s else self.base.one
-            if pow_s.startswith("^"):
-                k = int(pow_s[1:])
-            elif pow_s == "":
-                k = 1
-            else:
-                raise ValueError("bad term %r" % term)
-        else:
-            coef = self.base.parse(term)
-            k = 0
-        if sign < 0:
-            coef = self.base.neg(coef)
-        return self.mul(self.from_base(coef), self.pow(self.gen, k))
+        return _parse_poly_scalar(self, s)
 
     def to_str(self, a):
         base = self.base
@@ -639,39 +601,40 @@ def _parse_poly_scalar(field, s):
     if not s:
         raise ValueError("empty scalar")
     acc = field.zero
+    for coef, k in _poly_terms(field.base, s):
+        acc = field.add(acc, field.mul(field.from_base(coef), field.pow(field.gen, k)))
+    return acc
+
+
+def _poly_terms(base, s):
+    """(coefficient, power of t) of each 'c*t^k' term of a sum over ``base``."""
     i = 0
     while i < len(s):
         j = i + 1
         while j < len(s) and s[j] not in "+-":
             j += 1
-        acc = field.add(acc, _poly_scalar_term(field, s[i:j]))
+        term = s[i:j]
         i = j
-    return acc
-
-
-def _poly_scalar_term(field, term):
-    sign = 1
-    if term.startswith("+"):
-        term = term[1:]
-    elif term.startswith("-"):
-        sign = -1
-        term = term[1:]
-    if "t" in term:
-        coef_s, _, pow_s = term.partition("t")
-        coef_s = coef_s.rstrip("*")
-        coef = field.base.parse(coef_s) if coef_s else field.base.one
-        if pow_s.startswith("^"):
-            k = int(pow_s[1:])
-        elif pow_s == "":
-            k = 1
+        sign = 1
+        if term.startswith("+"):
+            term = term[1:]
+        elif term.startswith("-"):
+            sign = -1
+            term = term[1:]
+        if "t" in term:
+            coef_s, _, pow_s = term.partition("t")
+            coef_s = coef_s.rstrip("*")
+            coef = base.parse(coef_s) if coef_s else base.one
+            if pow_s.startswith("^"):
+                k = int(pow_s[1:])
+            elif pow_s == "":
+                k = 1
+            else:
+                raise ValueError("bad term %r" % term)
         else:
-            raise ValueError("bad term %r" % term)
-    else:
-        coef = field.base.parse(term)
-        k = 0
-    if sign < 0:
-        coef = field.base.neg(coef)
-    return field.mul(field.from_base(coef), field.pow(field.gen, k))
+            coef = base.parse(term)
+            k = 0
+        yield (base.neg(coef) if sign < 0 else coef), k
 
 
 _SPEC_RE = re.compile(
@@ -703,32 +666,11 @@ def parse_field(spec):
 def _parse_modulus(base, s):
     s = s.replace(" ", "").replace("−", "-")
     terms = {}
-    i = 0
-    while i < len(s):
-        j = i + 1
-        while j < len(s) and s[j] not in "+-":
-            j += 1
-        term = s[i:j]
-        i = j
-        sign = 1
-        if term.startswith("+"):
-            term = term[1:]
-        elif term.startswith("-"):
-            sign = -1
-            term = term[1:]
-        if "t" in term:
-            coef_s, _, pow_s = term.partition("t")
-            coef_s = coef_s.rstrip("*")
-            coef = base.parse(coef_s) if coef_s else base.one
-            k = int(pow_s[1:]) if pow_s.startswith("^") else (1 if pow_s == "" else None)
-            if k is None:
-                raise FieldError("bad modulus term %r" % term)
-        else:
-            coef = base.parse(term)
-            k = 0
-        if sign < 0:
-            coef = base.neg(coef)
-        terms[k] = base.add(terms.get(k, base.zero), coef)
+    try:
+        for coef, k in _poly_terms(base, s):
+            terms[k] = base.add(terms.get(k, base.zero), coef)
+    except ValueError as exc:
+        raise FieldError("bad modulus %r: %s" % (s, exc)) from exc
     deg = max(terms)
     return [terms.get(k, base.zero) for k in range(deg + 1)]
 

@@ -1,16 +1,15 @@
 """Exact sparse linear algebra over the fields of :mod:`braidrack.fields`.
 
 Matrices are row-sparse: a list of dicts column -> scalar, with no explicit
-zeros.  Two elimination engines are provided:
+zeros.  Two elimination methods are provided:
 
-* plain Gaussian elimination over the field (used for kernels and for all
-  finite-field work);
+* :class:`Echelon`, Gaussian elimination over the field into fully reduced
+  rows (used by both graded engines, for kernels and for every rank in
+  positive characteristic);
 * fraction-free Bareiss elimination over an integral model (used for ranks
   in characteristic 0, where clearing denominators keeps entries integral
-  and avoids big-rational blowup).
-
-Pivoting is Markowitz-style: among candidate pivots pick one minimising
-(row fill - 1) * (column fill - 1).
+  and avoids big-rational blowup); its pivots are Markowitz-style, minimising
+  (row fill - 1) * (column fill - 1).
 """
 from __future__ import annotations
 
@@ -18,7 +17,6 @@ from fractions import Fraction
 from math import lcm
 
 from .fields import (
-    PrimeField,
     QuadraticRationalField,
     QuotientRing,
     RationalField,
@@ -63,73 +61,104 @@ class SparseMatrix:
         return [dict(r) for r in self.rows]
 
 
-def row_reduce(field, rows, ncols):
-    """In-place Gaussian elimination over ``field``.
-
-    ``rows`` is a list of sparse row dicts (consumed).  Returns
-    ``(pivots, reduced)`` where ``pivots`` is a list of (row_index, col)
-    into ``reduced`` and every reduced row is normalised (pivot = 1) and
-    fully back-substituted (reduced row echelon form).
-    """
-    reduced = []       # rows in echelon form, pivot -> 1
-    pivot_of_col = {}  # col -> index into reduced
-    for row in rows:
-        row = _eliminate(field, row, reduced, pivot_of_col)
-        if not row:
-            continue
-        # Markowitz flavour: pick the sparsest-column candidate available;
-        # within one row just take the smallest column for determinism.
-        piv = min(row)
-        inv = field.inv(row[piv])
-        row = {j: field.mul(v, inv) for j, v in row.items()}
-        # back-substitute into existing rows
-        for r in reduced:
-            c = r.get(piv)
-            if c is not None:
-                _axpy(field, r, row, field.neg(c))
-        pivot_of_col[piv] = len(reduced)
-        reduced.append(row)
-    pivots = sorted((c, i) for c, i in pivot_of_col.items())
-    return [(i, c) for c, i in pivots], reduced
-
-
-def _eliminate(field, row, reduced, pivot_of_col):
-    row = dict(row)
-    while True:
-        hit = None
-        for j in row:
-            i = pivot_of_col.get(j)
-            if i is not None:
-                hit = (j, i)
-                break
-        if hit is None:
-            return row
-        j, i = hit
-        _axpy(field, row, reduced[i], field.neg(row[j]))
-
-
-def _axpy(field, target, source, factor):
-    """target += factor * source, dropping zeros."""
-    if field.is_zero(factor):
+def axpy(field, target, source, factor):
+    """target += factor * source on sparse dicts, dropping zeros."""
+    fadd, fmul, fzero = field.add, field.mul, field.is_zero
+    if fzero(factor):
         return
     for j, v in source.items():
         cur = target.get(j)
         if cur is None:
-            target[j] = field.mul(factor, v)
+            target[j] = fmul(factor, v)
         else:
-            s = field.add(cur, field.mul(factor, v))
-            if field.is_zero(s):
+            s = fadd(cur, fmul(factor, v))
+            if fzero(s):
                 del target[j]
             else:
                 target[j] = s
+
+
+class Echelon:
+    """Sparse rows in reduced echelon form over a field.
+
+    ``rows`` maps each pivot to its row: the row is 1 at the pivot, which is
+    its least key, and 0 at every other row's pivot.  Because the rows stay
+    fully reduced, one pass over a vector's keys clears every pivot of it.
+    A row may carry a tag (any sparse dict) that follows it through every
+    row operation, so the tags record how rows combine from their sources.
+    """
+
+    def __init__(self, field):
+        self.field = field
+        self.rows = {}
+        self.tags = {}
+
+    def reduce(self, vec, expr=None):
+        """Subtract rows from ``vec`` (in place) until it has no pivot key.
+
+        With ``expr``, each subtracted row's tag is subtracted from it with
+        the same factor: when every row is its tag applied to some source
+        vectors, ``vec`` minus ``expr`` applied to them stays fixed.
+        """
+        rows, neg = self.rows, self.field.neg
+        for key in [k for k in vec if k in rows]:
+            c = neg(vec[key])
+            axpy(self.field, vec, rows[key], c)
+            if expr is not None:
+                axpy(self.field, expr, self.tags[key], c)
+
+    def insert(self, vec, tag=None):
+        """Add a reduced nonzero ``vec`` as a row, reducing the others by it."""
+        f = self.field
+        piv = min(vec)
+        inv = f.inv(vec[piv])
+        row = {k: f.mul(v, inv) for k, v in vec.items()}
+        if tag is not None:
+            tag = {k: f.mul(v, inv) for k, v in tag.items()}
+        for p, other in self.rows.items():
+            c = other.get(piv)
+            if c is not None:
+                c = f.neg(c)
+                axpy(f, other, row, c)
+                if tag is not None:
+                    axpy(f, self.tags[p], tag, c)
+        self.rows[piv] = row
+        if tag is not None:
+            self.tags[piv] = tag
+
+    def add(self, vec):
+        """Reduce ``vec`` (in place) and keep it as a row unless it vanishes."""
+        self.reduce(vec)
+        if vec:
+            self.insert(vec)
+
+
+def echelon(field, rows):
+    """The :class:`Echelon` spanned by sparse ``rows`` (left unchanged)."""
+    ech = Echelon(field)
+    for row in rows:
+        ech.add(dict(row))
+    return ech
+
+
+def row_reduce(field, rows, ncols):
+    """Reduced row echelon form of sparse rows over ``field``.
+
+    ``rows`` is a list of sparse row dicts (left unchanged).  Returns
+    ``(pivots, reduced)`` where ``pivots`` is a list of (row_index, col)
+    into ``reduced``, ordered by column, and every reduced row is 1 at its
+    pivot and 0 at every other pivot column.
+    """
+    ech = echelon(field, rows)
+    cols = sorted(ech.rows)
+    return list(enumerate(cols)), [ech.rows[c] for c in cols]
 
 
 def rank(field, mat):
     """Exact rank.  Fraction-free (Bareiss) over characteristic 0."""
     if field.characteristic == 0:
         return _rank_bareiss(field, mat)
-    pivots, _ = row_reduce(field, mat.copy_rows(), mat.ncols)
-    return len(pivots)
+    return len(echelon(field, mat.rows).rows)
 
 
 def _to_integral(field, rows):
@@ -168,6 +197,10 @@ def _to_integral(field, rows):
     raise ValueError("no integral model for %s" % field.spec_string())
 
 
+class InexactDivision(ArithmeticError):
+    """A Bareiss step met a division that is not exact in the integral model."""
+
+
 class _IntegerDomain:
     zero = 0
 
@@ -179,7 +212,8 @@ class _IntegerDomain:
 
     def exact_div(self, a, b):
         q, r = divmod(a, b)
-        assert r == 0, "Bareiss division not exact"
+        if r:
+            raise InexactDivision("Bareiss division %d / %d not exact" % (a, b))
         return q
 
     def is_zero(self, a):
@@ -234,12 +268,11 @@ class _IntegerQuotientDomain:
         # solve M q = a where M[i][k] = cols[k][i]
         m = [[Fraction(cols[k][i]) for k in range(d)] + [Fraction(a[i])] for i in range(d)]
         q = _solve_dense_fraction(m, d)
-        assert q is not None, "Bareiss division not exact (singular multiplier)"
-        out = []
-        for c in q:
-            assert c.denominator == 1, "Bareiss division not exact"
-            out.append(int(c))
-        return tuple(out)
+        if q is None:
+            raise InexactDivision("Bareiss division by a zero divisor %r" % (b,))
+        if any(c.denominator != 1 for c in q):
+            raise InexactDivision("Bareiss division %r / %r not exact" % (a, b))
+        return tuple(int(c) for c in q)
 
     def size_hint(self, a):
         return max(abs(c) for c in a)
@@ -323,15 +356,13 @@ def _rank_bareiss(field, mat):
 
 def kernel_basis(field, mat):
     """Basis of the right kernel: vectors v (dicts col -> scalar) with Mv = 0."""
-    pivots, reduced = row_reduce(field, mat.copy_rows(), mat.ncols)
-    pivot_cols = {c for _, c in pivots}
-    row_for_col = {c: reduced[i] for i, c in pivots}
+    ech = echelon(field, mat.rows)
     basis = []
     for free in range(mat.ncols):
-        if free in pivot_cols:
+        if free in ech.rows:
             continue
         vec = {free: field.one}
-        for c, row in row_for_col.items():
+        for c, row in ech.rows.items():
             coef = row.get(free)
             if coef is not None:
                 vec[c] = field.neg(coef)
@@ -341,99 +372,3 @@ def kernel_basis(field, mat):
 
 def kernel_dim(field, mat):
     return mat.ncols - rank(field, mat)
-
-
-DEFAULT_PROBE_PRIMES = (7, 13)
-
-
-def rank_with_probe(field, mat, probe_primes=DEFAULT_PROBE_PRIMES):
-    """Exact rank plus modular probe metadata.
-
-    Over characteristic 0 the rank is first probed modulo small primes where
-    the quotient modulus splits or stays irreducible (a lower bound), then
-    confirmed exactly; a probe exceeding the exact rank is impossible and a
-    probe below it is recorded.  Returns (rank, metadata dict).
-    """
-    meta = {"probes": []}
-    exact = rank(field, mat)
-    if field.characteristic == 0:
-        for p in probe_primes:
-            pr = _probe_rank_mod_p(field, mat, p)
-            if pr is None:
-                continue
-            meta["probes"].append({"prime": p, "rank": pr})
-            if pr > exact:
-                raise AssertionError(
-                    "modular probe rank %d exceeds exact rank %d" % (pr, exact)
-                )
-    meta["rank"] = exact
-    return exact, meta
-
-
-def _probe_rank_mod_p(field, mat, p):
-    fp = PrimeField(p)
-    try:
-        if isinstance(field, RationalField):
-            def conv(v):
-                v = Fraction(v)
-                if v.denominator % p == 0:
-                    raise ZeroDivisionError
-                return fp.from_int(v.numerator) * pow(v.denominator, p - 2, p) % p
-
-            target = fp
-        elif isinstance(field, (QuadraticRationalField, QuotientRing)) and isinstance(
-            getattr(field, "base", None), RationalField
-        ):
-            # probe only at primes where the modulus splits: send t to a root
-            coeffs = []
-            for c in field.modulus:
-                c = Fraction(c)
-                if c.denominator % p == 0:
-                    return None
-                coeffs.append(c.numerator * pow(c.denominator, p - 2, p) % p)
-            root = None
-            for r in range(p):
-                acc = 0
-                for c in reversed(coeffs):
-                    acc = (acc * r + c) % p
-                if acc == 0:
-                    root = r
-                    break
-            if root is None:
-                return None
-            target = fp
-
-            if isinstance(field, QuadraticRationalField):
-
-                def conv(v, root=root):
-                    a, b, den = v
-                    if den % p == 0:
-                        raise ZeroDivisionError
-                    return (a + b * root) * pow(den, p - 2, p) % p
-
-            else:
-
-                def conv(v, root=root):
-                    acc = 0
-                    for k, c in enumerate(v):
-                        c = Fraction(c)
-                        if c.denominator % p == 0:
-                            raise ZeroDivisionError
-                        acc += c.numerator * pow(c.denominator, p - 2, p) * pow(root, k, p)
-                    return acc % p
-
-        else:
-            return None
-    except Exception:
-        return None
-    try:
-        probe = SparseMatrix(mat.nrows, mat.ncols)
-        for i, row in enumerate(mat.rows):
-            for j, v in row.items():
-                w = conv(v)
-                if not target.is_zero(w):
-                    probe.rows[i][j] = w
-        pivots, _ = row_reduce(target, probe.copy_rows(), probe.ncols)
-        return len(pivots)
-    except (ZeroDivisionError, NotImplementedError):
-        return None

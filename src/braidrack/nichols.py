@@ -16,7 +16,7 @@ from fractions import Fraction
 
 from . import hilbert
 from .hurwitz import orbits as hurwitz_orbits
-from .linalg import SparseMatrix, rank
+from .linalg import Echelon, SparseMatrix, axpy, rank
 from .percolate import minimal_plague_cached
 
 DIRECT_WORD_CAP = 3 * 10**5
@@ -29,6 +29,10 @@ class DegreeCap(Exception):
 
 class NotHomogeneous(Exception):
     pass
+
+
+class ImmunityBoundViolated(Exception):
+    """A cubic-kernel block is larger than its orbit's immunity bound."""
 
 
 # ---------------------------------------------------------------------------
@@ -155,13 +159,6 @@ def grading_matrices(b):
     ]
 
 
-def grade_mul(m1, m2):
-    """Product of monomial matrices ((perm, scalars) acting v_y -> s[y] v_{p[y]})."""
-    p1, s1 = m1
-    p2, s2 = m2
-    return tuple(p1[p2[y]] for y in range(len(p2))), tuple(s2[y] for y in range(len(p2)))
-
-
 class _Grading:
     """Word grades in the monoid the grading matrices generate."""
 
@@ -225,19 +222,22 @@ def graded_dim_direct(b, n, word_cap=DIRECT_WORD_CAP, block_cap=None):
 
 
 # ---------------------------------------------------------------------------
-# differential engine: basis and normal forms degree by degree
+# graded engines: basis and normal forms degree by degree
 
-class NicholsEngine:
-    """Graded data of the braided space's quotient by the symmetrizer kernels.
+class GradedEngine:
+    """Degree-by-degree basis of a graded quotient of the tensor algebra.
 
-    Degree n is represented by a list of basis words (each of the form
-    letter + lower-degree basis word) together with:
+    Degree n is represented by a list of basis words, each of the form
+    letter + lower-degree basis word, together with:
 
-    * nfmul[n][(y, j)]: the class of y * basis[n-1][j] expanded in basis[n];
-    * dmat[n][x][i]: d_x of basis[n][i] expanded in basis[n-1].
+    * grades[n][i]: the monomial-matrix grade of basis[n][i];
+    * nfmul[n][(y, j)]: the class of y * basis[n-1][j] expanded in basis[n].
 
-    Everything is exact over the cocycle's field; eliminations are blocked
-    by the monomial-matrix grade of the words, which the kernels respect.
+    The candidates (y, j) of degree n are grouped by grade, which every
+    elimination respects, and each grade block is eliminated on its own.
+    A subclass says what a block eliminates: ``_block_vectors`` gives its
+    vectors and ``_reduce_block`` picks the block's basis words, through
+    ``_new_word``, and sets nfmul of the other candidates.
     """
 
     def __init__(self, b):
@@ -245,17 +245,17 @@ class NicholsEngine:
         self.f = b.field
         self.grading = _Grading(b)
         d = b.dim
-        f = self.f
         self.basis = {0: [()], 1: [(x,) for x in range(d)]}
         self.grades = {
             0: [self.grading.unit],
             1: [self.grading.of_word((x,)) for x in range(d)],
         }
-        self.nfmul = {1: {(x, 0): {x: f.one} for x in range(d)}}
-        self.dmat = {1: [[{0: f.one} if w[0] == x else {} for w in self.basis[1]] for x in range(d)]}
+        self.nfmul = {1: {(x, 0): {x: self.f.one} for x in range(d)}}
 
     def dims(self, up_to):
-        self.extend(up_to)
+        # one degree per extend call, so each degree is timed on its own
+        for n in range(up_to + 1):
+            self.extend(n)
         return [len(self.basis[n]) for n in range(up_to + 1)]
 
     def dim(self, n):
@@ -269,217 +269,117 @@ class NicholsEngine:
             n += 1
 
     def _build_degree(self, n):
-        f = self.f
-        d = self.b.dim
-        q = self.b.cocycle.q
-        phi = [self.b.rack.phi(x) for x in range(d)]
-        prev_basis = self.basis[n - 1]
-        prev_grades = self.grades[n - 1]
-        prev_d = self.dmat[n - 1]
+        blocks = {}
+        for j, grade in enumerate(self.grades[n - 1]):
+            for y in range(self.b.dim):
+                blocks.setdefault(self.grading.lmul(y, grade), []).append((y, j))
+        self.basis[n], self.grades[n], self.nfmul[n] = [], [], {}
+        if not blocks:
+            return
+        vectors = self._block_vectors(n, blocks)
+        # blocks in the order of their first candidate, for a fixed basis order
+        for g in sorted(blocks, key=lambda g: blocks[g][0]):
+            self._reduce_block(n, g, blocks[g], vectors.get(g, ()))
 
-        # tuple coordinates: (x, i) -> flat index x * len(prev_basis) + i
-        nb = len(prev_basis)
+    def _new_word(self, n, cand, grade):
+        """Make candidate (y, j) the next basis word of degree n; its index."""
+        y, j = cand
+        words = self.basis[n]
+        i = len(words)
+        words.append((y,) + self.basis[n - 1][j])
+        self.grades[n].append(grade)
+        self.nfmul[n][cand] = {i: self.f.one}
+        return i
 
-        # candidates (y, j) ~ word y + basis[n-1][j], grouped by word grade
-        fadd, fmul, fzero = f.add, f.mul, f.is_zero
-        nfm = self.nfmul[n - 1]
-        by_grade = {}
-        cand_vectors = {}
-        cand_grades = {}
-        for j, w in enumerate(prev_basis):
-            for y in range(d):
-                cand = (y, j)
-                vec = {y * nb + j: f.one}  # delta term of d_y
-                for xp in range(d):
-                    dv = prev_d[xp][j]
-                    if not dv:
-                        continue
-                    xnb = phi[y][xp] * nb
-                    qc = q[y][xp]
-                    for i2, c2 in dv.items():
-                        # y * basis[n-2][i2] expanded in basis[n-1]
-                        qc2 = fmul(qc, c2)
-                        for i1, c1 in nfm[(y, i2)].items():
-                            key = xnb + i1
-                            cur = vec.get(key)
-                            add = fmul(qc2, c1)
-                            if cur is None:
-                                vec[key] = add
-                            else:
-                                s = fadd(cur, add)
-                                if fzero(s):
-                                    del vec[key]
-                                else:
-                                    vec[key] = s
-                cand_vectors[cand] = vec
-                g = self.grading.lmul(y, prev_grades[j])
-                cand_grades[cand] = g
-                by_grade.setdefault(g, []).append(cand)
+    def _lmul(self, y, coords, n):
+        """y times a vector in basis[n-1] coordinates, in basis[n] coordinates."""
+        out = {}
+        nf = self.nfmul[n]
+        for j, c in coords.items():
+            axpy(self.f, out, nf[(y, j)], c)
+        return out
 
-        basis_words = []
-        basis_grades = []
-        nf = {}
-        dmat_cols = []
-        # process grade blocks in deterministic order of first candidate
-        order = sorted(by_grade.values(), key=lambda cands: cands[0])
-        for cands in order:
-            self._reduce_block(
-                cands, cand_vectors, cand_grades, basis_words, basis_grades, nf, dmat_cols, n
-            )
-
-        self.basis[n] = basis_words
-        self.grades[n] = basis_grades
-        self.nfmul[n] = nf
-        # dmat[n][x][i]: from stored candidate vectors of the chosen words
-        dm = [[dict() for _ in basis_words] for _ in range(d)]
-        for i, vec in enumerate(dmat_cols):
-            for key, c in vec.items():
-                x, i1 = divmod(key, nb)
-                dm[x][i][i1] = c
-        self.dmat[n] = dm
-
-    def _reduce_block(
-        self, cands, cand_vectors, cand_grades, basis_words, basis_grades, nf, dmat_cols, n
-    ):
-        f = self.f
-        fadd, fmul, fneg, fzero = f.add, f.mul, f.neg, f.is_zero
-        echelon = []      # list of (pivot_key, row, expr) with row[pivot] = 1
-        pivot_keys = {}
-        prev_basis = self.basis[n - 1]
-        for cand in cands:
-            y, j = cand
-            vec = dict(cand_vectors[cand])
-            expr = {}
-            while True:
-                hit = None
-                for key in vec:
-                    idx = pivot_keys.get(key)
-                    if idx is not None:
-                        hit = (key, idx)
-                        break
-                if hit is None:
-                    break
-                key, idx = hit
-                coef = vec[key]
-                _, row, rexpr = echelon[idx]
-                ncoef = fneg(coef)
-                for k2, v2 in row.items():
-                    cur = vec.get(k2)
-                    add = fmul(ncoef, v2)
-                    if cur is None:
-                        vec[k2] = add
-                    else:
-                        s = fadd(cur, add)
-                        if fzero(s):
-                            del vec[k2]
-                        else:
-                            vec[k2] = s
-                for bi, v2 in rexpr.items():
-                    cur = expr.get(bi)
-                    add = fmul(ncoef, v2)
-                    if cur is None:
-                        expr[bi] = add
-                    else:
-                        s = fadd(cur, add)
-                        if fzero(s):
-                            del expr[bi]
-                        else:
-                            expr[bi] = s
-            if vec:
-                # independent: new basis word
-                bi = len(basis_words)
-                word = (y,) + prev_basis[j]
-                basis_words.append(word)
-                basis_grades.append(cand_grades[cand])
-                dmat_cols.append(cand_vectors[cand])
-                nf[cand] = {bi: f.one}
-                piv = min(vec)
-                inv = f.inv(vec[piv])
-                row = {k: f.mul(v, inv) for k, v in vec.items()}
-                rexpr = {k: f.mul(v, inv) for k, v in expr.items()}
-                rexpr[bi] = inv
-                pivot_keys[piv] = len(echelon)
-                echelon.append((piv, row, rexpr))
-            else:
-                # dependent: its class is -(expr) combination of chosen words
-                nf[cand] = {bi: f.neg(c) for bi, c in expr.items()}
-
-    # -- normal forms and chains --
+    def _word_times(self, word, coords, n):
+        """word times a vector in basis[n] coordinates, expanded in the basis."""
+        for k, y in enumerate(reversed(word), n + 1):
+            coords = self._lmul(y, coords, k)
+        return coords
 
     def nf_vector(self, vec, n):
         """Class of a free degree-n vector in basis[n] coordinates."""
         self.extend(n)
-        f = self.f
         out = {}
         for w, c in vec.items():
             if len(w) != n:
                 raise NotHomogeneous("vector mixes degrees")
-            for bi, c2 in self._nf_word(w).items():
-                cur = out.get(bi)
-                s = f.mul(c, c2)
-                if cur is not None:
-                    s = f.add(cur, s)
-                if f.is_zero(s):
-                    out.pop(bi, None)
-                else:
-                    out[bi] = s
+            axpy(self.f, out, self._word_times(w, {0: self.f.one}, 0), c)
         return out
 
-    def _nf_word(self, w):
+
+class NicholsEngine(GradedEngine):
+    """Graded data of the braided space's quotient by the symmetrizer kernels.
+
+    Besides the basis and nfmul of :class:`GradedEngine` it keeps
+    dmat[n][x][i], d_x of basis[n][i] expanded in basis[n-1].  A candidate
+    is eliminated when its derivations depend on those of the candidates
+    before it in its block: u lies in ker S_n exactly when every d_x(u)
+    lies in ker S_{n-1}.
+    """
+
+    def __init__(self, b):
+        super().__init__(b)
+        self.dmat = {1: [[{0: self.f.one} if w[0] == x else {} for w in self.basis[1]]
+                         for x in range(b.dim)]}
+
+    def _build_degree(self, n):
+        self.dmat[n] = [[] for _ in range(self.b.dim)]
+        super()._build_degree(n)
+
+    def _block_vectors(self, n, blocks):
+        """Per candidate y * basis[n-1][j], its derivations (d_x)_x in
+        coordinates (x, i) -> x * len(basis[n-1]) + i."""
         f = self.f
-        if not w:
-            return {0: f.one}
-        tail = self._nf_word(w[1:])
-        y = w[0]
-        n = len(w)
-        out = {}
-        nf = self.nfmul[n]
-        for j, c in tail.items():
-            for bi, c2 in nf[(y, j)].items():
-                cur = out.get(bi)
-                s = f.mul(c, c2)
-                if cur is not None:
-                    s = f.add(cur, s)
-                if f.is_zero(s):
-                    out.pop(bi, None)
-                else:
-                    out[bi] = s
-        return out
+        d = self.b.dim
+        q = self.b.cocycle.q
+        phi = [self.b.rack.phi(x) for x in range(d)]
+        prev_d = self.dmat[n - 1]
+        nb = len(self.basis[n - 1])
+        vectors = {}
+        for g, cands in blocks.items():
+            vecs = vectors[g] = []
+            for y, j in cands:
+                vec = {y * nb + j: f.one}  # delta term of d_y
+                for xp in range(d):
+                    dv = prev_d[xp][j]
+                    if dv:
+                        xnb = phi[y][xp] * nb
+                        ydv = self._lmul(y, dv, n - 1)
+                        axpy(f, vec, {xnb + i: c for i, c in ydv.items()}, q[y][xp])
+                vecs.append(vec)
+        return vectors
 
-    def derive_in_basis(self, x, coords, n):
-        """d_x on basis[n] coordinates, landing in basis[n-1] coordinates."""
+    def _reduce_block(self, n, grade, cands, vectors):
         f = self.f
-        dm = self.dmat[n][x]
-        out = {}
-        for i, c in coords.items():
-            for i1, c2 in dm[i].items():
-                cur = out.get(i1)
-                s = f.mul(c, c2)
-                if cur is not None:
-                    s = f.add(cur, s)
-                if f.is_zero(s):
-                    out.pop(i1, None)
-                else:
-                    out[i1] = s
-        return out
-
-    def derive_chain_value(self, letters, word):
-        """Apply the chain (rightmost first) to a top word; scalar result.
-
-        The word's class is taken in the quotient, the derivations are the
-        induced maps, and the value is the coefficient of the empty word.
-        """
-        n = len(word)
-        if len(letters) != n:
-            raise ValueError("chain length must equal the word degree")
-        coords = self.nf_vector({tuple(word): self.f.one}, n)
-        deg = n
-        for x in reversed(letters):
-            coords = self.derive_in_basis(x, coords, deg)
-            deg -= 1
-            if not coords:
-                return self.f.zero
-        return coords.get(0, self.f.zero)
+        nb = len(self.basis[n - 1])
+        dm = self.dmat[n]
+        ech = Echelon(f)
+        # each row's tag expresses it in the derivation vectors of basis words
+        for cand, vec in zip(cands, vectors):
+            rest = dict(vec)
+            expr = {}
+            ech.reduce(rest, expr)
+            if rest:
+                i = self._new_word(n, cand, grade)
+                for col in dm:
+                    col.append({})
+                for key, c in vec.items():
+                    x, i1 = divmod(key, nb)
+                    dm[x][i][i1] = c
+                expr[i] = f.one
+                ech.insert(rest, expr)
+            else:
+                # dependent: its class is -(expr) combination of chosen words
+                self.nfmul[n][cand] = {i: f.neg(c) for i, c in expr.items()}
 
 
 def graded_dims(b, up_to, engine=None):
@@ -539,9 +439,10 @@ class CubicKernelReport:
 def cubic_kernel(b, bound_orbit_cap=24):
     """dim ker(1 + c12 + c12 c23) summed over Hurwitz 3-orbit blocks.
 
-    Each block is checked against the immunity bound (kernel <= imm * size);
-    the bound is only evaluated for orbit sizes <= ``bound_orbit_cap`` where
-    the exact minimal plague search is cheap.
+    Each block is checked against the immunity bound (kernel <= imm * size),
+    raising ImmunityBoundViolated if it fails; the bound is only evaluated
+    for orbit sizes <= ``bound_orbit_cap`` where the exact minimal plague
+    search is cheap.
     """
     f = b.field
     blocks = []
@@ -551,18 +452,13 @@ def cubic_kernel(b, bound_orbit_cap=24):
         m = SparseMatrix(o.size, o.size)
         for j, w in enumerate(o.tuples):
             for nw, c in _x_terms(b, w, 0, 3):
-                cur = m.rows[index[nw]].get(j)
-                v = c if cur is None else f.add(cur, c)
-                if f.is_zero(v):
-                    m.rows[index[nw]].pop(j, None)
-                else:
-                    m.rows[index[nw]][j] = v
+                vec_add_into(f, m.rows[index[nw]], j, c)
         dim = o.size - rank(f, m)
         if o.size <= bound_orbit_cap:
             imm = minimal_plague_cached(o).immunity
             bound = imm * o.size
             if dim > bound:
-                raise AssertionError(
+                raise ImmunityBoundViolated(
                     "kernel dim %d exceeds immunity bound %s on a size-%d orbit"
                     % (dim, bound, o.size)
                 )
@@ -660,13 +556,7 @@ def one_orbit_operator_matrix(field, e, q):
     m = SparseMatrix(len(words), len(words))
     for col, (i, j, k) in enumerate(words):
         for w, c in (((i, j, k), field.one), ((j, i, k), q), ((k, i, j), q2)):
-            row = idx[w]
-            cur = m.rows[row].get(col)
-            v = c if cur is None else field.add(cur, c)
-            if field.is_zero(v):
-                m.rows[row].pop(col, None)
-            else:
-                m.rows[row][col] = v
+            vec_add_into(field, m.rows[idx[w]], col, c)
     return m
 
 

@@ -11,10 +11,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .braiding import BraidedSpace
+from .linalg import Echelon, axpy
 from .nichols import (
+    GradedEngine,
     NicholsEngine,
     NotHomogeneous,
-    _Grading,
     symmetrizer_apply,
 )
 
@@ -58,36 +59,25 @@ def relation_in_kernel(p, engine=None, method="nf"):
     return results
 
 
-class QuotientEngine:
+class QuotientEngine(GradedEngine):
     """Degree-by-degree basis of T(V)/(relations).
 
-    Mirrors the differential engine's bookkeeping: per degree a list of
-    basis words of the form letter + lower basis word, and nfmul[(y, j)]
-    expanding y * basis[n-1][j].  The eliminated space in degree n is
-    spanned by pi(r * b) over relations r of degree g and basis words b of
-    degree n - g, which equals the full ideal component.
+    The eliminated space in degree n is spanned by pi(r * b) over relations
+    r of degree g and basis words b of degree n - g, which equals the full
+    ideal component.  In each grade block the candidates at the pivots of
+    those vectors are eliminated and the others become basis words.
     """
 
     def __init__(self, presentation):
+        super().__init__(presentation.space)
         self.p = presentation
-        self.b = presentation.space
-        self.f = self.b.field
-        self.grading = _Grading(self.b)
-        d = self.b.dim
         self.rels_by_degree = {}
         for r in presentation.relations:
             n = len(next(iter(r)))
             self.rels_by_degree.setdefault(n, []).append(r)
             self._check_relation_grade(r)
-        self.basis = {0: [()]}
-        self.grades = {0: [self.grading.unit]}
-        self.nfmul = {}
-        min_rel = min(self.rels_by_degree) if self.rels_by_degree else None
-        if min_rel == 1:
+        if 1 in self.rels_by_degree:
             raise NotHomogeneous("degree-1 relations are not supported")
-        self.basis[1] = [(x,) for x in range(d)]
-        self.grades[1] = [self.grading.of_word((x,)) for x in range(d)]
-        self.nfmul[1] = {(x, 0): {x: self.f.one} for x in range(d)}
 
     def _check_relation_grade(self, r):
         grades = {self.grading.of_word(w) for w in r}
@@ -96,46 +86,10 @@ class QuotientEngine:
                 "relation is not grade-homogeneous; split it by group degree"
             )
 
-    def dims(self, up_to, stop_at_zero=True):
-        out = [len(self.basis[0]), len(self.basis[1])]
-        n = 2
-        while n <= up_to:
-            self.extend(n)
-            out.append(len(self.basis[n]))
-            if stop_at_zero and out[-1] == 0:
-                # generated in degree one: all later components vanish too
-                out += [0] * (up_to - n)
-                break
-            n += 1
-        return out[: up_to + 1]
-
-    def extend(self, up_to):
-        n = max(self.basis) + 1
-        while n <= up_to:
-            self._build_degree(n)
-            n += 1
-
-    def _build_degree(self, n):
-        f = self.f
-        d = self.b.dim
-        prev_basis = self.basis[n - 1]
-        prev_grades = self.grades[n - 1]
-        nb = len(prev_basis)
-        if not prev_basis:
-            self.basis[n] = []
-            self.grades[n] = []
-            self.nfmul[n] = {}
-            return
-
-        # ideal vectors pi(r * b) in candidate coordinates (y, j)
-        by_grade = {}
-        cand_grade = {}
-        for j in range(nb):
-            for y in range(d):
-                g = self.grading.lmul(y, prev_grades[j])
-                cand_grade[(y, j)] = g
-                by_grade.setdefault(g, {"cands": [], "ideal": []})["cands"].append((y, j))
-
+    def _block_vectors(self, n, blocks):
+        """The ideal vectors pi(r * b) in candidate coordinates, by grade."""
+        nb = len(self.basis[n - 1])
+        vectors = {}
         for g_deg, rels in self.rels_by_degree.items():
             tail_deg = n - g_deg
             if tail_deg < 0:
@@ -143,95 +97,41 @@ class QuotientEngine:
             for r in rels:
                 for bidx in range(len(self.basis[tail_deg])):
                     vec = self._place_relation(r, tail_deg, bidx, nb)
-                    if not vec:
-                        continue
-                    some = next(iter(vec))
-                    g = cand_grade[divmod(some, nb)]
-                    by_grade[g]["ideal"].append(vec)
-
-        basis_words = []
-        basis_grades = []
-        nf = {}
-        for g in sorted(by_grade, key=lambda g: by_grade[g]["cands"][0]):
-            blk = by_grade[g]
-            self._reduce_block(blk["cands"], blk["ideal"], basis_words, basis_grades, nf, nb, n)
-        self.basis[n] = basis_words
-        self.grades[n] = basis_grades
-        self.nfmul[n] = nf
+                    if vec:
+                        y, j = divmod(next(iter(vec)), nb)
+                        g = self.grading.lmul(y, self.grades[n - 1][j])
+                        vectors.setdefault(g, []).append(vec)
+        return vectors
 
     def _place_relation(self, r, tail_deg, bidx, nb):
         """pi(r * basis[tail_deg][bidx]) in candidate coordinates of degree n."""
-        f = self.f
         out = {}
         for w, c in r.items():
-            # tail = w[1:] * b expanded in basis[n-1]
-            tail = {bidx: f.one}
-            deg = tail_deg
-            for letter in reversed(w[1:]):
-                nxt = {}
-                nfm = self.nfmul[deg + 1]
-                for j, cj in tail.items():
-                    for j2, c2 in nfm[(letter, j)].items():
-                        cur = nxt.get(j2)
-                        s = f.mul(cj, c2)
-                        if cur is not None:
-                            s = f.add(cur, s)
-                        if f.is_zero(s):
-                            nxt.pop(j2, None)
-                        else:
-                            nxt[j2] = s
-                tail = nxt
-                deg += 1
-            y = w[0]
-            for j, cj in tail.items():
-                key = y * nb + j
-                cur = out.get(key)
-                s = f.mul(c, cj)
-                if cur is not None:
-                    s = f.add(cur, s)
-                if f.is_zero(s):
-                    out.pop(key, None)
-                else:
-                    out[key] = s
+            # w[1:] * b expanded in basis[n-1], then w[0] as the first letter
+            tail = self._word_times(w[1:], {bidx: self.f.one}, tail_deg)
+            axpy(self.f, out, {w[0] * nb + j: cj for j, cj in tail.items()}, c)
         return out
 
-    def _reduce_block(self, cands, ideal_vecs, basis_words, basis_grades, nf, nb, n):
+    def _reduce_block(self, n, grade, cands, vectors):
         f = self.f
-        # RREF of the ideal vectors within this block
-        from .linalg import row_reduce
-
-        pivots, reduced = row_reduce(f, ideal_vecs, nb * self.b.dim)
-        pivot_cols = {c for _, c in pivots}
-        row_for_col = {c: reduced[i] for i, c in pivots}
-        prev_basis = self.basis[n - 1]
-        # non-pivot candidates become basis words
-        local_index = {}
-        for cand in cands:
-            y, j = cand
+        nb = len(self.basis[n - 1])
+        ideal = Echelon(f)
+        for vec in vectors:
+            ideal.add(vec)
+        index = {}
+        for y, j in cands:
+            if y * nb + j not in ideal.rows:
+                index[y * nb + j] = self._new_word(n, (y, j), grade)
+        for y, j in cands:
             key = y * nb + j
-            if key in pivot_cols:
-                continue
-            local_index[key] = len(basis_words)
-            basis_words.append((y,) + prev_basis[j])
-            basis_grades.append(self.grading.lmul(y, self.grades[n - 1][j]))
-            nf[cand] = {local_index[key]: f.one}
-        for cand in cands:
-            y, j = cand
-            key = y * nb + j
-            if key not in pivot_cols:
-                continue
-            row = row_for_col[key]
-            expr = {}
-            for c2, v in row.items():
-                if c2 == key:
-                    continue
-                expr[local_index[c2]] = f.neg(v)
-            nf[cand] = expr
+            row = ideal.rows.get(key)
+            if row is not None:
+                self.nfmul[n][(y, j)] = {index[k]: f.neg(v) for k, v in row.items() if k != key}
 
 
-def quotient_dims(p, up_to, stop_at_zero=True):
-    """Graded dims of T(V)/(relations), stopping at the first zero level."""
-    return QuotientEngine(p).dims(up_to, stop_at_zero=stop_at_zero)
+def quotient_dims(p, up_to):
+    """Graded dims 0..up_to of T(V)/(relations)."""
+    return QuotientEngine(p).dims(up_to)
 
 
 # ---------------------------------------------------------------------------

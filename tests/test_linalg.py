@@ -6,11 +6,13 @@ from hypothesis import strategies as st
 
 from braidrack.fields import QQ, parse_field
 from braidrack.linalg import (
+    InexactDivision,
     SparseMatrix,
+    _IntegerDomain,
+    _IntegerQuotientDomain,
     kernel_basis,
     kernel_dim,
     rank,
-    rank_with_probe,
     row_reduce,
 )
 
@@ -133,16 +135,26 @@ def test_modular_rank_never_exceeds_rational_rank(rows):
 def test_bareiss_agrees_with_field_elimination(rows):
     f = QQ
     m = SparseMatrix.from_dense(f, [[Fraction(v) for v in row] for row in rows])
-    pivots, _ = row_reduce(f, m.copy_rows(), m.ncols)
+    pivots, reduced = row_reduce(f, m.copy_rows(), m.ncols)
     assert rank(f, m) == len(pivots)
+    # reduced echelon form: each row is 1 at its pivot, its least column,
+    # and 0 at every other pivot column
+    cols = [c for _, c in pivots]
+    for i, c in pivots:
+        row = reduced[i]
+        assert min(row) == c and row[c] == f.one
+        assert all(c2 not in row for c2 in cols if c2 != c)
 
 
-def test_rank_with_probe_metadata():
-    K = parse_field("QQ[t]/(t^2+t+1)")
-    m = _six_by_six(K, K.gen)
-    r, meta = rank_with_probe(K, m)
-    assert r == 5
-    assert meta["rank"] == 5
-    # 7 and 13 both split t^2+t+1, so both probes should have run
-    assert {p["prime"] for p in meta["probes"]} == {7, 13}
-    assert all(p["rank"] <= r for p in meta["probes"])
+def test_bareiss_inexact_division_raises():
+    # the exact-division checks are errors, not asserts, so -O keeps them
+    z = _IntegerDomain()
+    assert z.exact_div(12, 4) == 3
+    with pytest.raises(InexactDivision):
+        z.exact_div(7, 2)
+    zq = _IntegerQuotientDomain(parse_field("QQ[t]/(t^2+t+1)"))
+    assert zq.exact_div((2, 4), (1, 2)) == (2, 0)
+    with pytest.raises(InexactDivision):
+        zq.exact_div((1, 0), (2, 0))
+    with pytest.raises(InexactDivision):
+        zq.exact_div((1, 0), (0, 0))

@@ -33,7 +33,7 @@ def test_quotient_at_least_nichols_pointwise():
     # drop one relation: the quotient must dominate the symmetrizer dims
     space = cocycle_preset("d3char2")
     rels = d3_char2_relations(space.field)[:-1]
-    qd = quotient_dims(Presentation(space, rels), 8, stop_at_zero=False)
+    qd = quotient_dims(Presentation(space, rels), 8)
     nd = graded_dims(space, 8)
     assert all(q >= n for q, n in zip(qd, nd))
 
@@ -77,12 +77,11 @@ def test_relation_word_transcriptions():
 
 
 @pytest.mark.slow
-def test_t_new_certificate():
-    space, rels, integral, chain = integral_preset("t-new")
-    K = space.field
+def test_t_new_certificate(t_new_certificate):
+    space, rels = t_new_certificate["space"], t_new_certificate["relations"]
     p = Presentation(space, rels)
     assert all(relation_in_kernel(p))
-    qd = quotient_dims(p, 26)
+    qd = t_new_certificate["quotient_dims"]
     expected = expand_product([(6, 1)] * 4 + [(2, 2)] * 2, 26)
     assert qd == expected
     assert sum(qd) == 5184
@@ -106,3 +105,22 @@ def test_quotient_engine_grade_homogeneity_check():
     b = BraidedSpace(constant_cocycle(preset("D3"), QQ, QQ.from_int(-1)))
     with pytest.raises(NotHomogeneous):
         QuotientEngine(Presentation(b, [{(0, 0): QQ.one, (0, 1): QQ.one}]))
+
+
+@pytest.mark.parametrize("name", ["d3char2", "t-new"])
+def test_quotient_normal_form_kills_every_relation(name):
+    space, rels, _, _ = integral_preset(name)
+    eng = QuotientEngine(Presentation(space, rels))
+    for r in rels:
+        assert eng.nf_vector(r, len(next(iter(r)))) == {}
+
+
+@pytest.mark.parametrize("name", ["d3char2", "t-new"])
+def test_basis_words_are_their_own_normal_forms(name):
+    space, rels, _, _ = integral_preset(name)
+    one = space.field.one
+    for eng in (NicholsEngine(space), QuotientEngine(Presentation(space, rels))):
+        eng.extend(5)
+        for n in range(6):
+            for i, w in enumerate(eng.basis[n]):
+                assert eng.nf_vector({w: one}, n) == {i: one}
