@@ -303,7 +303,8 @@ def build_parser():
     common.add_argument("--field", default=argparse.SUPPRESS,
                         help="field spec, e.g. QQ or Fp(2)[t]/(t^2+t+1)")
     common.add_argument("--threads", type=int, default=argparse.SUPPRESS,
-                        help="worker threads (default: THREADS env or all cores)")
+                        help="threads running verify-paper's sections "
+                        "(default: THREADS env or 1, serial)")
 
     ap = argparse.ArgumentParser(
         prog="braidrack",
@@ -381,7 +382,7 @@ def main(argv=None):
     args.threads = getattr(args, "threads", None)
     if args.threads is None:
         env = os.environ.get("THREADS")
-        args.threads = int(env) if env else (os.cpu_count() or 1)
+        args.threads = int(env) if env else 1
     try:
         return args.func(args)
     except BrokenPipeError:

@@ -186,13 +186,16 @@ def canonical_code(o):
 
 
 def _canonical_code(o):
-    best = None
-    best_order = None
-    for start in range(o.size):
-        code, order = _bfs_code(o, start)
-        if best is None or code < best:
-            best, best_order = code, order
-    return best, best_order
+    return min(rooted_codes(o), key=lambda code_order: code_order[0])
+
+
+def rooted_codes(o):
+    """The BFS code and visiting order of the orbit graph from every root.
+
+    Two roots with equal codes are exchanged by the automorphism that sends
+    the i-th vertex of one order to the i-th vertex of the other.
+    """
+    return [_bfs_code(o, start) for start in range(o.size)]
 
 
 def _bfs_code(o, start):

@@ -8,11 +8,10 @@ but not T from U.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from itertools import combinations
 
-from .hurwitz import canonical_code, orbits, sigma
+from .hurwitz import canonical_code, orbit_isomorphic, orbits, rooted_codes, sigma
 
 
 class EmptySeed(Exception):
@@ -52,88 +51,169 @@ def quarantine_closure(o, seed):
     if not seed:
         raise EmptySeed("quarantine closure needs a nonempty seed")
     inst, touch = _forcing_tables(o)
-    return _close(inst, touch, seed, o.size)
-
-
-def _close(inst, touch, seed, size):
-    in_q = [False] * size
+    in_q = [False] * o.size
     counts = [0] * len(inst)
-    stack = []
     for v in seed:
         if not in_q[v]:
-            in_q[v] = True
-            stack.append(v)
+            _extend(inst, touch, in_q, counts, v)
+    return frozenset(i for i, b in enumerate(in_q) if b)
+
+
+def _extend(inst, touch, in_q, counts, v):
+    """Add v (not yet a member) to the closed set (in_q, counts) in place,
+    close it again from v, and return the number of members that joined."""
+    in_q[v] = True
+    stack = [v]
+    added = 1
     while stack:
-        v = stack.pop()
-        for n, mult in touch[v]:
+        x = stack.pop()
+        for n, mult in touch[x]:
             counts[n] += mult
             if counts[n] >= 2:
                 for w in inst[n]:
                     if not in_q[w]:
                         in_q[w] = True
                         stack.append(w)
-    return frozenset(i for i, b in enumerate(in_q) if b)
+                        added += 1
+    return added
 
 
 @dataclass
 class PlagueResult:
     orbit_size: int
     min_size: int
-    witness: tuple       # member indices, lexicographically least witness
+    witness: tuple       # member indices of a plague of size min_size
     immunity: Fraction
     certified: bool      # exhaustive search below min_size found nothing
+    seeds_closed: int = field(default=0, compare=False)  # closures this call computed
 
     def witness_tuples(self, o):
         return [o.tuples[i] for i in self.witness]
+
+
+class SymmetryCheckFailed(RuntimeError):
+    """A map the plague search relies on is not an orbit-graph isomorphism."""
 
 
 def is_plague(o, seed):
     return len(quarantine_closure(o, seed)) == o.size
 
 
-def minimal_plague(o, max_size=None):
-    """Exact minimum plague by iterative deepening over subsets.
+def _check_isomorphism(o1, o2, phi):
+    """Raise unless phi (index of o1 -> index of o2) carries every sigma edge
+    and inverse edge of o1 onto the same-labelled edge of o2."""
+    gens1 = list(o1.edges) + list(o1.inv_edges)
+    gens2 = list(o2.edges) + list(o2.inv_edges)
+    if sorted(phi) != list(range(o2.size)) or any(
+        phi[g1[x]] != g2[phi[x]] for g1, g2 in zip(gens1, gens2) for x in range(o1.size)
+    ):
+        raise SymmetryCheckFailed("map is not an isomorphism of the sigma-labelled orbit graphs")
 
-    Exhausts all subsets of each size k before moving to k+1, so the
-    returned minimum is certified and the witness is the lexicographically
-    least plague of that size.
+
+def automorphism_classes(o):
+    """Orbit members grouped by rooted BFS code, as {least member m: {v: phi}}.
+
+    Equal codes from roots m and v mean that phi, sending the i-th vertex of
+    m's BFS order to the i-th vertex of v's, is an automorphism of the
+    sigma-labelled orbit graph with phi[m] == v.  Every phi is checked
+    against all edges before it is returned.
+    """
+    classes = {}
+    first = {}
+    for v, (code, order) in enumerate(rooted_codes(o)):
+        m, order_m = first.setdefault(code, (v, order))
+        phi = [0] * o.size
+        for a, b in zip(order_m, order):
+            phi[a] = b
+        _check_isomorphism(o, o, phi)
+        classes.setdefault(m, {})[v] = tuple(phi)
+    return classes
+
+
+def minimal_plague(o):
+    """Exact minimum plague by iterative deepening over seed size.
+
+    For each k, a depth-first search visits k-subsets in lexicographic
+    order and returns the first plague, so the minimum is certified and the
+    witness is the lexicographically least plague of that size.  Three
+    reductions keep every such witness in the search:
+
+    * each child closes its parent's closed set from its one new element;
+    * an element already in the closure of the prefix is skipped: a seed
+      with it has the closure of the seed without it, so it is no plague
+      of minimal size;
+    * the first element is the least member of its automorphism class: an
+      automorphism carrying a plague's least element s to the smaller class
+      minimum would give a lexicographically smaller plague of equal size.
     """
     if o.arity != 3:
         raise ValueError("plagues are defined for 3-orbits")
     size = o.size
     inst, touch = _forcing_tables(o)
-    limit = size if max_size is None else min(size, max_size)
-    for k in range(1, limit + 1):
-        for seed in combinations(range(size), k):
-            closed = _close(inst, touch, seed, size)
-            if len(closed) == size:
-                return PlagueResult(
-                    orbit_size=size,
-                    min_size=k,
-                    witness=seed,
-                    immunity=Fraction(k, size),
-                    certified=True,
-                )
-    raise AssertionError("the full orbit is always a plague")
+    firsts = sorted(automorphism_classes(o))
+    closed_count = 0
+
+    def search(in_q, counts, closed, seed, candidates, k):
+        nonlocal closed_count
+        last = len(seed) + 1 == k
+        for v in candidates:
+            if in_q[v]:
+                continue
+            q, c = in_q[:], counts[:]
+            now = closed + _extend(inst, touch, q, c, v)
+            closed_count += 1
+            if last:
+                if now == size:
+                    return seed + (v,)
+            else:
+                rest = range(v + 1, size - (k - len(seed)) + 2)
+                found = search(q, c, now, seed + (v,), rest, k)
+                if found:
+                    return found
+        return None
+
+    for k in range(1, size + 1):
+        witness = search(
+            [False] * size, [0] * len(inst), 0, (), [v for v in firsts if v <= size - k], k
+        )
+        if witness:
+            return PlagueResult(
+                orbit_size=size,
+                min_size=k,
+                witness=witness,
+                immunity=Fraction(k, size),
+                certified=True,
+                seeds_closed=closed_count,
+            )
+    raise RuntimeError("no seed percolates, not even the full orbit")
 
 
 _BY_CODE_CACHE = {}
 
 
 def minimal_plague_cached(o):
-    """Minimal plague size keyed by the orbit's canonical graph code.
+    """Minimal plague keyed by the orbit's canonical graph code.
 
     Isomorphic orbit graphs have identical closure instances up to
-    relabelling, hence equal minimal plague sizes; the witness returned is
-    the one computed for the first representative seen.
+    relabelling, hence equal minimal plague sizes.  On a hit the stored
+    witness is carried into o's indices by the canonical-order isomorphism,
+    which is checked against every edge, and the image is checked to be a
+    plague of o.  It is a minimal plague of o, but not necessarily o's
+    lexicographically least one.
     """
     code = canonical_code(o)
-    if code not in _BY_CODE_CACHE:
-        _BY_CODE_CACHE[code] = minimal_plague(o)
-    cached = _BY_CODE_CACHE[code]
-    if cached.orbit_size != o.size:
-        raise AssertionError("canonical code collision")
-    return cached
+    hit = _BY_CODE_CACHE.get(code)
+    if hit is None:
+        res = minimal_plague(o)
+        _BY_CODE_CACHE[code] = (o, res)
+        return res
+    first, res = hit
+    phi = orbit_isomorphic(first, o, witness=True)
+    _check_isomorphism(first, o, phi)
+    witness = tuple(sorted(phi[i] for i in res.witness))
+    if not is_plague(o, witness):
+        raise SymmetryCheckFailed("mapped witness is not a plague of the orbit")
+    return replace(res, witness=witness, seeds_closed=1)
 
 
 def immunity_table(r, certify_each=False):

@@ -176,6 +176,22 @@ def test_threads_env_variable(capsys, monkeypatch):
     assert json.loads(out)["counts"] == {"1": 3, "8": 3}
 
 
+def test_verify_paper_runs_serially_by_default(capsys, monkeypatch):
+    from braidrack import verify
+
+    seen = {}
+
+    def fake_verify_paper(profile, threads):
+        seen["threads"] = threads
+        return verify.Report(profile)
+
+    monkeypatch.delenv("THREADS", raising=False)
+    monkeypatch.setattr(verify, "verify_paper", fake_verify_paper)
+    code, _ = run(capsys, "--format", "json", "verify-paper")
+    assert code == 0
+    assert seen == {"threads": 1}
+
+
 def test_verify_paper_quick_json(capsys):
     code, out = run(capsys, "--format", "json", "--threads", "2", "verify-paper", "--profile", "quick")
     assert code == 0

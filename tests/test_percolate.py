@@ -1,18 +1,24 @@
+import itertools
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from braidrack.hurwitz import REFERENCE_SIZES, orbit, reference_orbit
+from braidrack import percolate
+from braidrack.hurwitz import REFERENCE_SIZES, HurwitzOrbit, orbit, orbits, reference_orbit
 from braidrack.percolate import (
     EXPECTED_MIN_PLAGUE,
     EmptySeed,
+    SymmetryCheckFailed,
+    automorphism_classes,
     closure_instances,
     immunity_table,
     is_plague,
     minimal_plague,
+    minimal_plague_cached,
     quarantine_closure,
 )
 from braidrack.racks import preset
@@ -57,14 +63,113 @@ def test_families_cover_orbit():
         assert covered == set(range(size))
 
 
+def brute_force_minimal_plague(o):
+    """The reference: the lexicographically first plague among all subsets,
+    smallest size first."""
+    for k in range(1, o.size + 1):
+        for seed in itertools.combinations(range(o.size), k):
+            if is_plague(o, seed):
+                return k, seed
+    raise AssertionError("the full orbit is always a plague")
+
+
+# The lexicographically least minimal plague of the reference 24-orbit and of
+# every 24-orbit of Aff(7,3), found by the subset scan (190,243 closures each,
+# too slow to repeat here).
+WITNESS_24 = (0, 1, 2, 3, 5, 7, 12)
+
+
 @pytest.mark.parametrize("size", REFERENCE_SIZES)
 def test_minimal_plague_matches_reference(size):
-    res = minimal_plague(reference_orbit(size))
+    o = reference_orbit(size)
+    res = minimal_plague(o)
     assert res.min_size == EXPECTED_MIN_PLAGUE[size]
     assert res.immunity == Fraction(EXPECTED_MIN_PLAGUE[size], size)
     assert res.certified
     # the witness actually percolates
-    assert is_plague(reference_orbit(size), set(res.witness))
+    assert is_plague(o, set(res.witness))
+    if size <= 16:
+        assert (res.min_size, res.witness) == brute_force_minimal_plague(o)
+    else:
+        assert res.witness == WITNESS_24
+
+
+@pytest.mark.parametrize("name", ["D3", "T", "Aff(7,3)", "C"])
+def test_minimal_plague_matches_brute_force_on_every_orbit(name):
+    for o in orbits(preset(name), 3):
+        res = minimal_plague(o)
+        assert res.certified
+        if o.size == 24:
+            assert (res.min_size, res.witness) == (7, WITNESS_24)
+        else:
+            assert (res.min_size, res.witness) == brute_force_minimal_plague(o)
+
+
+def relabel(o, perm):
+    """The same orbit graph with member i renamed perm[i]."""
+    tuples = [None] * o.size
+    for i, t in enumerate(o.tuples):
+        tuples[perm[i]] = t
+
+    def move(gens):
+        out = []
+        for g in gens:
+            h = [0] * o.size
+            for i, j in enumerate(g):
+                h[perm[i]] = perm[j]
+            out.append(h)
+        return out
+
+    return HurwitzOrbit(o.rack, o.arity, tuples, move(o.edges), move(o.inv_edges))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from([s for s in REFERENCE_SIZES if s <= 12]), st.randoms(use_true_random=False))
+def test_minimal_plague_on_relabelled_orbits(size, rnd):
+    perm = list(range(size))
+    rnd.shuffle(perm)
+    o = relabel(reference_orbit(size), perm)
+    res = minimal_plague(o)
+    assert (res.min_size, res.witness) == brute_force_minimal_plague(o)
+
+
+@pytest.mark.parametrize("size", REFERENCE_SIZES)
+def test_automorphism_class_maps_commute_with_edges(size):
+    o = reference_orbit(size)
+    classes = automorphism_classes(o)
+    members = sorted(v for cls in classes.values() for v in cls)
+    assert members == list(range(size))
+    for m, maps in classes.items():
+        assert m == min(maps)
+        for v, phi in maps.items():
+            assert phi[m] == v
+            assert sorted(phi) == list(range(size))
+            for g in list(o.edges) + list(o.inv_edges):
+                assert all(phi[g[x]] == g[phi[x]] for x in range(size))
+
+
+def test_automorphism_check_rejects_a_bad_class_map(monkeypatch):
+    o = reference_orbit(8)
+    # every root claims the same code, with rotated visiting orders
+    fake = [((0,), list(range(v, 8)) + list(range(v))) for v in range(8)]
+    monkeypatch.setattr(percolate, "rooted_codes", lambda _o: fake)
+    with pytest.raises(SymmetryCheckFailed):
+        minimal_plague(o)
+
+
+@pytest.mark.parametrize("name", ["T", "Aff(7,3)", "C"])
+def test_cached_witness_is_a_plague_of_its_own_orbit(name):
+    for o in orbits(preset(name), 3):
+        res = minimal_plague_cached(o)
+        assert is_plague(o, res.witness)
+        assert res.min_size == len(res.witness) == minimal_plague(o).min_size
+
+
+def test_seeds_closed_counts_the_search():
+    res = minimal_plague(reference_orbit(24))
+    # the subset scan closed 190,243 seeds on this orbit
+    assert res.seeds_closed == 38436
+    assert res == replace(res, seeds_closed=0)
 
 
 def test_minimality_certified_exhaustively():
