@@ -37,7 +37,6 @@ from .nichols import (
     cubic_kernel,
     derive,
     general_inequality,
-    graded_dim,
     graded_dims,
     symmetrizer_apply,
 )

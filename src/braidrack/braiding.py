@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 from . import perms
 from .fields import QuotientRing, parse_field
-from .racks import Rack, preset
+from .racks import Rack, conjugation_rack, preset
 
 
 class CocycleError(Exception):
@@ -186,13 +186,9 @@ def group_model_cocycle(generators, g, rho, field, labeling=None):
         if sorted(labeling) != sorted(members):
             raise CocycleError("labeling is not the conjugacy class of g")
         members = labeling
-    index = {m: i for i, m in enumerate(members)}
-    d = len(members)
-    table = [
-        [index[perms.compose(members[x], perms.compose(members[y], perms.inverse(members[x])))] for y in range(d)]
-        for x in range(d)
-    ]
-    rack = Rack(table)
+    rack = conjugation_rack(members)
+    table = rack.table
+    d = rack.size
 
     # character values on the subgroup generated by rho's keys
     for p in rho:

@@ -138,8 +138,6 @@ class _Search:
                 # fresh elements must appear in order
                 new = max(x, y, z)
                 if new > st.support or new >= self.cap:
-                    if new >= self.cap:
-                        return False
                     return False
                 st.support += 1
                 st.trail.append(("support",))
@@ -170,19 +168,7 @@ class _Search:
     def _row_feasible(self, st, x):
         """Partial phi_x must extend to a permutation of cycle type ctype."""
         row = st.table[x]
-        fixed = 0
-        moved = 0
-        # walk completed chains/cycles
-        seen_starts = {}
-        lengths = []
-        for y in range(st.support):
-            z = row[y]
-            if z == -1:
-                continue
-            if z == y:
-                fixed += 1
-            else:
-                moved += 1
+        moved = sum(1 for y in range(st.support) if row[y] not in (-1, y))
         if moved > self.k3:
             return False
         # closed cycles must have admissible length; build via traversal

@@ -1,49 +1,20 @@
 """Exact sparse linear algebra over the fields of :mod:`braidrack.fields`.
 
 Matrices are row-sparse: a list of dicts column -> scalar, with no explicit
-zeros.  Two elimination methods are provided:
-
-* :class:`Echelon`, Gaussian elimination over the field into fully reduced
-  rows (used by both graded engines, for kernels and for every rank in
-  positive characteristic);
-* fraction-free Bareiss elimination over an integral model (used for ranks
-  in characteristic 0, where clearing denominators keeps entries integral
-  and avoids big-rational blowup); its pivots are Markowitz-style, minimising
-  (row fill - 1) * (column fill - 1).
+zeros.  There is one elimination, :class:`Echelon`: Gaussian elimination
+over the field into fully reduced rows.  Both graded engines, kernels and
+every rank use it.
 """
 from __future__ import annotations
 
-from fractions import Fraction
-from math import lcm
-
-from .fields import (
-    QuadraticRationalField,
-    QuotientRing,
-    RationalField,
-)
-
 
 class SparseMatrix:
-    """A rows x cols matrix, entries indexed (row, col), no stored zeros."""
+    """A rows x cols matrix: ``rows[i]`` maps column -> nonzero entry."""
 
-    def __init__(self, nrows, ncols, entries=None):
+    def __init__(self, nrows, ncols):
         self.nrows = nrows
         self.ncols = ncols
         self.rows = [dict() for _ in range(nrows)]
-        if entries:
-            for (i, j), v in entries.items():
-                self.set(i, j, v)
-
-    def set(self, i, j, v, field=None):
-        if not (0 <= i < self.nrows and 0 <= j < self.ncols):
-            raise IndexError((i, j))
-        if (field is not None and field.is_zero(v)) or (field is None and v == 0):
-            self.rows[i].pop(j, None)
-        else:
-            self.rows[i][j] = v
-
-    def get(self, i, j, zero=0):
-        return self.rows[i].get(j, zero)
 
     @classmethod
     def from_dense(cls, field, rows):
@@ -53,12 +24,6 @@ class SparseMatrix:
                 if not field.is_zero(v):
                     m.rows[i][j] = v
         return m
-
-    def nnz(self):
-        return sum(len(r) for r in self.rows)
-
-    def copy_rows(self):
-        return [dict(r) for r in self.rows]
 
 
 def axpy(field, target, source, factor):
@@ -155,203 +120,8 @@ def row_reduce(field, rows, ncols):
 
 
 def rank(field, mat):
-    """Exact rank.  Fraction-free (Bareiss) over characteristic 0."""
-    if field.characteristic == 0:
-        return _rank_bareiss(field, mat)
+    """Exact rank: the number of rows of the echelon form."""
     return len(echelon(field, mat.rows).rows)
-
-
-def _to_integral(field, rows):
-    """Clear denominators so entries live in Z or Z[t]/(m) with int coeffs."""
-    if isinstance(field, RationalField):
-        out = []
-        for row in rows:
-            if not row:
-                continue
-            den = lcm(*[Fraction(v).denominator for v in row.values()])
-            out.append({j: int(Fraction(v) * den) for j, v in row.items()})
-        return out, _IntegerDomain()
-    if isinstance(field, QuadraticRationalField):
-        out = []
-        for row in rows:
-            if not row:
-                continue
-            den = lcm(*[v[2] for v in row.values()])
-            out.append(
-                {
-                    j: (a * (den // d), b * (den // d))
-                    for j, (a, b, d) in row.items()
-                }
-            )
-        return out, _IntegerQuotientDomain(field)
-    if isinstance(field, QuotientRing) and isinstance(field.base, RationalField):
-        out = []
-        for row in rows:
-            if not row:
-                continue
-            den = lcm(*[Fraction(c).denominator for v in row.values() for c in v] or [1])
-            out.append(
-                {j: tuple(int(Fraction(c) * den) for c in v) for j, v in row.items()}
-            )
-        return out, _IntegerQuotientDomain(field)
-    raise ValueError("no integral model for %s" % field.spec_string())
-
-
-class InexactDivision(ArithmeticError):
-    """A Bareiss step met a division that is not exact in the integral model."""
-
-
-class _IntegerDomain:
-    zero = 0
-
-    def mul(self, a, b):
-        return a * b
-
-    def sub(self, a, b):
-        return a - b
-
-    def exact_div(self, a, b):
-        q, r = divmod(a, b)
-        if r:
-            raise InexactDivision("Bareiss division %d / %d not exact" % (a, b))
-        return q
-
-    def is_zero(self, a):
-        return a == 0
-
-    def size_hint(self, a):
-        return abs(a)
-
-
-class _IntegerQuotientDomain:
-    """Z[t]/(m) with integer coefficient tuples, m the field's monic modulus."""
-
-    def __init__(self, field):
-        self.degree = field.degree
-        # monic integer modulus (the field guarantees monic; coefficients of
-        # the presets used here are integers already)
-        self.modulus = tuple(int(Fraction(c)) for c in field.modulus)
-        self.zero = (0,) * self.degree
-
-    def mul(self, a, b):
-        d = self.degree
-        prod = [0] * (2 * d - 1)
-        for i, x in enumerate(a):
-            if x:
-                for j, y in enumerate(b):
-                    if y:
-                        prod[i + j] += x * y
-        for i in range(2 * d - 2, d - 1, -1):
-            c = prod[i]
-            if c:
-                prod[i] = 0
-                for j in range(d):
-                    prod[i - d + j] -= c * self.modulus[j]
-        return tuple(prod[:d])
-
-    def sub(self, a, b):
-        return tuple(x - y for x, y in zip(a, b))
-
-    def is_zero(self, a):
-        return not any(a)
-
-    def exact_div(self, a, b):
-        # divide in Q[t]/(m), then check integrality
-        d = self.degree
-        # compute b^{-1} via resultant-free approach: solve a = q*b by
-        # linear system over Q using the multiplication matrix of b
-        cols = []
-        for k in range(d):
-            e = [0] * d
-            e[k] = 1
-            cols.append(self.mul(tuple(e), b))
-        # solve M q = a where M[i][k] = cols[k][i]
-        m = [[Fraction(cols[k][i]) for k in range(d)] + [Fraction(a[i])] for i in range(d)]
-        q = _solve_dense_fraction(m, d)
-        if q is None:
-            raise InexactDivision("Bareiss division by a zero divisor %r" % (b,))
-        if any(c.denominator != 1 for c in q):
-            raise InexactDivision("Bareiss division %r / %r not exact" % (a, b))
-        return tuple(int(c) for c in q)
-
-    def size_hint(self, a):
-        return max(abs(c) for c in a)
-
-
-def _solve_dense_fraction(aug, n):
-    """Solve an n x n dense Fraction system given as augmented rows."""
-    for col in range(n):
-        piv = None
-        for r in range(col, n):
-            if aug[r][col] != 0:
-                piv = r
-                break
-        if piv is None:
-            return None
-        aug[col], aug[piv] = aug[piv], aug[col]
-        pv = aug[col][col]
-        aug[col] = [v / pv for v in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col] != 0:
-                f = aug[r][col]
-                aug[r] = [v - f * w for v, w in zip(aug[r], aug[col])]
-    return [aug[i][n] for i in range(n)]
-
-
-def _rank_bareiss(field, mat):
-    rows, dom = _to_integral(field, mat.copy_rows())
-    rows = [r for r in rows if r]
-    rank_ = 0
-    prev = None  # previous pivot (denominator of the Bareiss step)
-    while rows:
-        # Markowitz: pick the entry minimising (row_nnz - 1) * (col_nnz - 1)
-        col_count = {}
-        for r in rows:
-            for j in r:
-                col_count[j] = col_count.get(j, 0) + 1
-        best = None
-        for ri, r in enumerate(rows):
-            rw = len(r) - 1
-            for j, v in r.items():
-                score = rw * (col_count[j] - 1)
-                key = (score, dom.size_hint(v), ri, j)
-                if best is None or key < best[0]:
-                    best = (key, ri, j)
-        _, ri, pj = best
-        prow = rows.pop(ri)
-        pval = prow[pj]
-        rank_ += 1
-        nxt = []
-        for r in rows:
-            rv = r.get(pj)
-            if rv is None:
-                # entries still must be divided per Bareiss; division only
-                # changes entries in rows that had the pivot column, others
-                # get multiplied/divided trivially:
-                if prev is not None:
-                    r = {
-                        j: dom.exact_div(dom.mul(v, pval), prev) for j, v in r.items()
-                    }
-                else:
-                    r = {j: dom.mul(v, pval) for j, v in r.items()}
-            else:
-                new = {}
-                for j in set(r) | set(prow):
-                    if j == pj:
-                        continue
-                    a = dom.mul(r.get(j, dom.zero), pval)
-                    b = dom.mul(prow.get(j, dom.zero), rv)
-                    v = dom.sub(a, b)
-                    if not dom.is_zero(v):
-                        new[j] = v
-                if prev is not None:
-                    new = {j: dom.exact_div(v, prev) for j, v in new.items()}
-                r = new
-            if r:
-                nxt.append(r)
-        rows = nxt
-        prev = pval
-    return rank_
 
 
 def kernel_basis(field, mat):

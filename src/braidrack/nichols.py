@@ -20,7 +20,6 @@ from .linalg import Echelon, SparseMatrix, axpy, rank
 from .percolate import minimal_plague_cached
 
 DIRECT_WORD_CAP = 3 * 10**5
-DIRECT_BLOCK_CAP = 420
 
 
 class DegreeCap(Exception):
@@ -198,7 +197,7 @@ class _Grading:
 # ---------------------------------------------------------------------------
 # direct engine: rank of S_n blockwise over the Hurwitz orbits of X^n
 
-def graded_dim_direct(b, n, word_cap=DIRECT_WORD_CAP, block_cap=None):
+def graded_dim_direct(b, n, word_cap=DIRECT_WORD_CAP):
     """dim of the degree-n component as rank S_n, summed over orbit blocks."""
     if n == 0:
         return 1
@@ -207,8 +206,6 @@ def graded_dim_direct(b, n, word_cap=DIRECT_WORD_CAP, block_cap=None):
     f = b.field
     total = 0
     for o in hurwitz_orbits(b.rack, n, cap=word_cap):
-        if block_cap is not None and o.size > block_cap:
-            raise DegreeCap("orbit block of size %d exceeds the cap" % o.size)
         index = o.index
         m = SparseMatrix(o.size, o.size)
         for j, w in enumerate(o.tuples):
@@ -386,25 +383,6 @@ def graded_dims(b, up_to, engine=None):
     """Graded dimensions 0..up_to via the differential engine."""
     eng = engine or NicholsEngine(b)
     return eng.dims(up_to)
-
-
-def graded_dim(b, n, method="auto", word_cap=DIRECT_WORD_CAP):
-    """dim of the degree-n component (= rank S_n).
-
-    method "direct" computes blockwise symmetrizer ranks over the Hurwitz
-    orbit decomposition; "differential" uses the derivation engine; "auto"
-    picks direct only when the word count and block sizes stay small.
-    """
-    if method == "direct":
-        return graded_dim_direct(b, n, word_cap=word_cap)
-    if method == "differential":
-        return NicholsEngine(b).dim(n)
-    if b.dim**n <= 4096:
-        try:
-            return graded_dim_direct(b, n, word_cap=word_cap, block_cap=DIRECT_BLOCK_CAP)
-        except DegreeCap:
-            pass
-    return NicholsEngine(b).dim(n)
 
 
 # ---------------------------------------------------------------------------

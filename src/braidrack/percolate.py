@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
-from .hurwitz import canonical_code, orbit_isomorphic, orbits, rooted_codes, sigma
+from .hurwitz import _canonical_code, orbits, rooted_codes, sigma
 
 
 class EmptySeed(Exception):
@@ -110,6 +110,14 @@ def _check_isomorphism(o1, o2, phi):
         raise SymmetryCheckFailed("map is not an isomorphism of the sigma-labelled orbit graphs")
 
 
+def _order_map(order1, order2):
+    """The map sending the i-th vertex of order1 to the i-th of order2."""
+    phi = [0] * len(order1)
+    for a, b in zip(order1, order2):
+        phi[a] = b
+    return tuple(phi)
+
+
 def automorphism_classes(o):
     """Orbit members grouped by rooted BFS code, as {least member m: {v: phi}}.
 
@@ -122,11 +130,9 @@ def automorphism_classes(o):
     first = {}
     for v, (code, order) in enumerate(rooted_codes(o)):
         m, order_m = first.setdefault(code, (v, order))
-        phi = [0] * o.size
-        for a, b in zip(order_m, order):
-            phi[a] = b
+        phi = _order_map(order_m, order)
         _check_isomorphism(o, o, phi)
-        classes.setdefault(m, {})[v] = tuple(phi)
+        classes.setdefault(m, {})[v] = phi
     return classes
 
 
@@ -201,14 +207,14 @@ def minimal_plague_cached(o):
     plague of o.  It is a minimal plague of o, but not necessarily o's
     lexicographically least one.
     """
-    code = canonical_code(o)
+    code, order = _canonical_code(o)
     hit = _BY_CODE_CACHE.get(code)
     if hit is None:
         res = minimal_plague(o)
-        _BY_CODE_CACHE[code] = (o, res)
+        _BY_CODE_CACHE[code] = (o, order, res)
         return res
-    first, res = hit
-    phi = orbit_isomorphic(first, o, witness=True)
+    first, first_order, res = hit
+    phi = _order_map(first_order, order)
     _check_isomorphism(first, o, phi)
     witness = tuple(sorted(phi[i] for i in res.witness))
     if not is_plague(o, witness):

@@ -9,7 +9,7 @@ import json
 from dataclasses import dataclass, field
 
 from . import perms
-from .fields import PrimeField, QuotientRing
+from .fields import PrimeField, QuotientRing, _is_prime
 
 INNER_GROUP_CAP = 10**7
 
@@ -188,15 +188,19 @@ def preset_transposition_labels(name):
     return list(_TRANSPOSITION_LABELS[name])
 
 
-def _conjugation_rack_from_transpositions(labels, n, name):
-    ps = [perms.from_cycles(n, [t]) for t in labels]
-    index = {p: i for i, p in enumerate(ps)}
-    d = len(ps)
+def conjugation_rack(members, name=None):
+    """Rack on a conjugation-closed list of permutations: x |> y is
+    members[x] members[y] members[x]^-1, as an index into ``members``."""
+    index = {p: i for i, p in enumerate(members)}
     table = [
-        [index[perms.compose(ps[x], perms.compose(ps[y], perms.inverse(ps[x])))] for y in range(d)]
-        for x in range(d)
+        [index[perms.compose(px, perms.compose(py, perms.inverse(px)))] for py in members]
+        for px in members
     ]
     return Rack(table, name=name)
+
+
+def _conjugation_rack_from_transpositions(labels, n, name):
+    return conjugation_rack([perms.from_cycles(n, [t]) for t in labels], name=name)
 
 
 def _four_cycles_s4():
@@ -295,7 +299,7 @@ def braided_affine_param(p):
     braided indecomposable affine rack.  alpha is returned as an int when
     q = p and as a coefficient pair (a0, a1) when q = p^2.
     """
-    if p <= 3 or not _trial_prime(p):
+    if p <= 3 or not _is_prime(p):
         raise ValueError("p must be a prime > 3")
     for a in range(p):
         if (1 - a + a * a) % p == 0:
@@ -306,17 +310,6 @@ def braided_affine_param(p):
         if fld.is_zero(v):
             return p * p, (e[0], e[1])
     raise AssertionError("unreachable: F_{p^2} always contains a 6th root of unity")
-
-
-def _trial_prime(p):
-    if p < 2:
-        return False
-    f = 2
-    while f * f <= p:
-        if p % f == 0:
-            return False
-        f += 1
-    return True
 
 
 _PRESET_BUILDERS = {
@@ -591,13 +584,4 @@ def conjugacy_class_rack(generators, g):
     grp = perms.mulclose(generators)
     if tuple(g) not in grp:
         raise ElementNotInGroup("g is not in the generated group")
-    index = {m: i for i, m in enumerate(members)}
-    d = len(members)
-    table = [
-        [
-            index[perms.compose(members[x], perms.compose(members[y], perms.inverse(members[x])))]
-            for y in range(d)
-        ]
-        for x in range(d)
-    ]
-    return Rack(table), members
+    return conjugation_rack(members), members

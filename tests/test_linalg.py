@@ -1,15 +1,13 @@
 from fractions import Fraction
+from functools import reduce
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from braidrack.fields import QQ, parse_field
+from braidrack.fields import QQ, NotAField, parse_field
 from braidrack.linalg import (
-    InexactDivision,
     SparseMatrix,
-    _IntegerDomain,
-    _IntegerQuotientDomain,
     kernel_basis,
     kernel_dim,
     rank,
@@ -124,6 +122,81 @@ def test_modular_rank_never_exceeds_rational_rank(rows):
     assert rank(fp, mp) <= rank(f, m)
 
 
+def _fraction_rank(rows):
+    """Rank of a dense integer matrix by Gaussian elimination over Fraction."""
+    rows = [[Fraction(v) for v in row] for row in rows]
+    r = 0
+    for col in range(len(rows[0]) if rows else 0):
+        piv = next((i for i in range(r, len(rows)) if rows[i][col] != 0), None)
+        if piv is None:
+            continue
+        rows[r], rows[piv] = rows[piv], rows[r]
+        for i in range(r + 1, len(rows)):
+            f = rows[i][col] / rows[r][col]
+            rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
+        r += 1
+    return r
+
+
+def _factor_pairs(entries):
+    """(A, B) with A n x k and B k x c, so A B has rank at most k: small k
+    gives rank-deficient products, which a generic random matrix is not."""
+    return st.tuples(st.integers(1, 6), st.integers(1, 4), st.integers(1, 6)).flatmap(
+        lambda s: st.tuples(
+            st.lists(st.lists(entries, min_size=s[1], max_size=s[1]), min_size=s[0], max_size=s[0]),
+            st.lists(st.lists(entries, min_size=s[2], max_size=s[2]), min_size=s[1], max_size=s[1]),
+        )
+    )
+
+
+def _product(mul, add, a, b):
+    return [
+        [reduce(add, [mul(x, b[k][j]) for k, x in enumerate(row)]) for j in range(len(b[0]))]
+        for row in a
+    ]
+
+
+@settings(max_examples=80, deadline=None)
+@given(_factor_pairs(st.integers(-3, 3)))
+def test_rational_rank_matches_dense_fraction_reference(factors):
+    rows = _product(lambda x, y: x * y, lambda x, y: x + y, *factors)
+    m = SparseMatrix.from_dense(QQ, [[Fraction(v) for v in row] for row in rows])
+    assert rank(QQ, m) == _fraction_rank(rows)
+
+
+def _zeta3_mul(x, y):
+    # (a + b t)(c + d t) with t^2 = -1 - t
+    (a, b), (c, d) = x, y
+    return (a * c - b * d, a * d + b * c - b * d)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_factor_pairs(st.tuples(st.integers(-2, 2), st.integers(-2, 2))))
+def test_zeta3_rank_is_half_the_rational_rank_of_its_real_form(factors):
+    # a + b t acts on QQ(zeta3) = QQ + QQ t (t^2 = -1 - t) by the matrix
+    # [[a, -b], [b, a - b]] in the basis 1, t; replacing every entry by its
+    # multiplication matrix doubles the rank
+    rows = _product(_zeta3_mul, lambda x, y: (x[0] + y[0], x[1] + y[1]), *factors)
+    K = parse_field("QQ[t]/(t^2+t+1)")
+    elem = lambda a, b: K.add(K.from_int(a), K.mul(K.from_int(b), K.gen))
+    m = SparseMatrix.from_dense(K, [[elem(a, b) for a, b in row] for row in rows])
+    real = []
+    for row in rows:
+        real.append([x for a, b in row for x in (a, -b)])
+        real.append([x for a, b in row for x in (b, a - b)])
+    assert _fraction_rank(real) == 2 * rank(K, m)
+
+
+def test_rank_over_a_reducible_assumed_quotient_raises_not_a_field():
+    # t^4 - 1 is reducible, but irreducibility is only assumed above degree
+    # 3, so elimination meets the zero divisor t - 1
+    K = parse_field("QQ[t]/(t^4-1)")
+    assert K.irreducible_assumed
+    m = SparseMatrix.from_dense(K, [[K.parse("t-1"), K.zero], [K.zero, K.parse("t+1")]])
+    with pytest.raises(NotAField):
+        rank(K, m)
+
+
 @settings(max_examples=40, deadline=None)
 @given(
     st.lists(
@@ -132,10 +205,10 @@ def test_modular_rank_never_exceeds_rational_rank(rows):
         max_size=7,
     )
 )
-def test_bareiss_agrees_with_field_elimination(rows):
+def test_row_reduce_is_reduced_echelon_form_of_rank_rows(rows):
     f = QQ
     m = SparseMatrix.from_dense(f, [[Fraction(v) for v in row] for row in rows])
-    pivots, reduced = row_reduce(f, m.copy_rows(), m.ncols)
+    pivots, reduced = row_reduce(f, m.rows, m.ncols)
     assert rank(f, m) == len(pivots)
     # reduced echelon form: each row is 1 at its pivot, its least column,
     # and 0 at every other pivot column
@@ -144,17 +217,3 @@ def test_bareiss_agrees_with_field_elimination(rows):
         row = reduced[i]
         assert min(row) == c and row[c] == f.one
         assert all(c2 not in row for c2 in cols if c2 != c)
-
-
-def test_bareiss_inexact_division_raises():
-    # the exact-division checks are errors, not asserts, so -O keeps them
-    z = _IntegerDomain()
-    assert z.exact_div(12, 4) == 3
-    with pytest.raises(InexactDivision):
-        z.exact_div(7, 2)
-    zq = _IntegerQuotientDomain(parse_field("QQ[t]/(t^2+t+1)"))
-    assert zq.exact_div((2, 4), (1, 2)) == (2, 0)
-    with pytest.raises(InexactDivision):
-        zq.exact_div((1, 0), (2, 0))
-    with pytest.raises(InexactDivision):
-        zq.exact_div((1, 0), (0, 0))

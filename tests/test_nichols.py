@@ -19,7 +19,6 @@ from braidrack.nichols import (
     derive,
     general_inequality,
     general_inequality_lhs,
-    graded_dim,
     graded_dim_direct,
     graded_dims,
     kernel_identity_terms,
@@ -81,7 +80,6 @@ def test_d3_minus1_dims():
     assert graded_dims(b, 5) == [1, 3, 4, 3, 1, 0]
     assert graded_dim_direct(b, 2) == 4
     assert graded_dim_direct(b, 3) == 3
-    assert graded_dim(b, 2) == 4
 
 
 def test_direct_and_differential_engines_agree():
