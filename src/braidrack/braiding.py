@@ -10,8 +10,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import perms
-from .fields import QuotientRing, parse_field
-from .racks import Rack, conjugation_rack, preset
+from .fields import QQ, QuotientRing, parse_field
+from .racks import (
+    Rack,
+    conjugacy_class_rack,
+    conjugation_rack,
+    is_isomorphic,
+    preset,
+    preset_transposition_labels,
+)
 
 
 class CocycleError(Exception):
@@ -75,11 +82,6 @@ class Cocycle:
     def braid(self, x, y):
         """c(v_x (x) v_y) as ((x|>y, x), scalar)."""
         return (self.rack.table[x][y], x), self.q[x][y]
-
-    def braid_inv(self, a, b):
-        """c^{-1}(v_a (x) v_b) as ((y, x), scalar) with c(v_x (x) v_y) = q v_a v_b."""
-        y = self.rack.phi_inv(b)[a]
-        return (y, b), self.field.inv(self.q[b][y])
 
     def check_yang_baxter(self):
         """(c12 c23 c12)(v_x v_y v_z) == (c23 c12 c23)(v_x v_y v_z) on the basis."""
@@ -292,8 +294,6 @@ def cocycle_preset(name, field=None):
         )
     if name == "t-sign-flipped":
         # the tetrahedral rack with diagonal -1 and the flipped centralizer sign
-        from .fields import QQ
-
         fld = field or QQ
         return BraidedSpace(
             table_cocycle(
@@ -304,18 +304,14 @@ def cocycle_preset(name, field=None):
             )
         )
     if name.startswith("minus1(") and name.endswith(")"):
-        from .fields import QQ
-
         fld = field or QQ
         r = preset(name[7:-1])
         return BraidedSpace(constant_cocycle(r, fld, fld.from_int(-1), name=name))
     if name == "transposition-sign(A)":
-        return _transposition_sign_space("A", field)
+        return transposition_model("A", 1, field)
     if name == "transposition-sign(C)":
-        return _transposition_sign_space("C", field)
+        return transposition_model("C", 1, field)
     if name == "group(S4,(1234),-1)":
-        from .fields import QQ
-
         fld = field or QQ
         gens = [perms.from_cycles(4, [(0, 1)]), perms.from_cycles(4, [(0, 1, 2, 3)])]
         g = perms.from_cycles(4, [(0, 1, 2, 3)])
@@ -336,9 +332,6 @@ def transposition_model(which, other_sign=1, field=None):
     from (1 2): +1 or -1 (both consistent choices).  The value on (1 2)
     itself is -1.  Returns a BraidedSpace over the preset rack labeling.
     """
-    from .fields import QQ
-    from .racks import preset_transposition_labels
-
     fld = field or QQ
     n = 4 if which == "A" else 5
     gens = [perms.from_cycles(n, [(0, 1)]), perms.from_cycles(n, [tuple(range(n))])]
@@ -367,14 +360,8 @@ def transposition_model(which, other_sign=1, field=None):
     )
 
 
-def _transposition_sign_space(which, field):
-    return transposition_model(which, other_sign=1, field=field)
-
-
 def _match_labeling(generators, g, target_rack):
     """Class members ordered so their conjugation rack equals target_rack."""
-    from .racks import conjugacy_class_rack, is_isomorphic
-
     rk, members = conjugacy_class_rack(generators, g)
     f = is_isomorphic(target_rack, rk, witness=True)
     if f is None:

@@ -18,8 +18,13 @@ isomorphism.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import lcm
 
-from .racks import RackError, invariants, is_braided, is_isomorphic, validate_rack
+from .racks import RackError, invariants, is_braided, is_isomorphic, preset, validate_rack
+
+
+# no search spec may ask for racks larger than this
+HARD_SIZE_CAP = 16
 
 
 class SizeCapExceeded(Exception):
@@ -31,20 +36,16 @@ class SearchSpec:
     degrees: tuple = (2, 3, 4, 6)
     k3_max: int = 6
     size_max: int = 12
-    require_indecomposable: bool = True
-    hard_size_cap: int = 16
 
     def __post_init__(self):
-        if self.size_max > self.hard_size_cap:
+        if self.size_max > HARD_SIZE_CAP:
             raise SizeCapExceeded(
-                "size_max %d exceeds the hard cap %d" % (self.size_max, self.hard_size_cap)
+                "size_max %d exceeds the hard cap %d" % (self.size_max, HARD_SIZE_CAP)
             )
 
 
 def _cycle_types(k3, degree):
     """Partitions of k3 into parts >= 2 dividing the degree with lcm = degree."""
-    from math import lcm
-
     parts = [p for p in range(2, k3 + 1) if degree % p == 0]
     out = []
 
@@ -303,7 +304,7 @@ class _Search:
         if not is_braided(r):
             return
         inv = invariants(r)
-        if self.spec.require_indecomposable and not inv.is_indecomposable:
+        if not inv.is_indecomposable:
             return
         if inv.degree != self.degree or inv.k3 != self.k3:
             return
@@ -355,8 +356,6 @@ def verify_tables():
 
     Returns a list of (table, name, expected, computed, match) entries.
     """
-    from .racks import preset
-
     report = []
     for name, (deg, size, k3, m) in sorted(EXPECTED_BRAIDED_RACKS.items()):
         inv = invariants(preset(name))

@@ -222,7 +222,7 @@ def _load_relations(arg, field):
     for item in data:
         rel = {}
         for term in item["terms"]:
-            word = tuple(ord(ch) - ord("a") for ch in term["word"])
+            word = presentations._words(term["word"])
             if "degree" in item and len(word) != item["degree"]:
                 raise ValueError("term %r does not match the stated degree" % term["word"])
             rel[word] = field.parse(term["coeff"])

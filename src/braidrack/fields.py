@@ -9,13 +9,15 @@ A field is described by a spec string:
 
 Scalars are plain hashable values: ``fractions.Fraction`` for QQ, ints in
 [0, p) for Fp(p), and fixed-length tuples of base scalars (degree many
-coefficients, lowest power first) for quotient rings.  All arithmetic goes
+coefficients, lowest power first) for quotient rings, except integer
+triples for QQ[t]/(t^2+u*t+v) with integer u, v.  All arithmetic goes
 through the Field object so hot loops never allocate wrapper objects.
 """
 from __future__ import annotations
 
 import re
 from fractions import Fraction
+from math import gcd, lcm
 
 
 class FieldError(Exception):
@@ -47,7 +49,6 @@ class Field:
     """Common interface; subclasses set ``zero``/``one`` and implement ops."""
 
     characteristic = 0
-    is_exact_field = True
 
     def add(self, a, b):
         raise NotImplementedError
@@ -74,13 +75,19 @@ class Field:
         raise NotImplementedError
 
     def parse(self, s):
+        """The scalar a literal denotes; a malformed literal raises FieldError."""
+        try:
+            return self._parse(s.strip().replace("−", "-"))
+        except (ValueError, ZeroDivisionError) as exc:
+            raise FieldError(
+                "bad scalar %r for %s: %s" % (s, self.spec_string(), exc)
+            ) from exc
+
+    def _parse(self, s):
         raise NotImplementedError
 
     def to_str(self, a):
         raise NotImplementedError
-
-    def elements(self):
-        raise NotImplementedError("field is not finite")
 
     def pow(self, a, n):
         if n < 0:
@@ -133,8 +140,8 @@ class RationalField(Field):
     def from_int(self, n):
         return Fraction(n)
 
-    def parse(self, s):
-        return Fraction(s.strip().replace("−", "-"))
+    def _parse(self, s):
+        return Fraction(s)
 
     def to_str(self, a):
         return str(a)
@@ -172,8 +179,7 @@ class PrimeField(Field):
     def from_int(self, n):
         return n % self.p
 
-    def parse(self, s):
-        s = s.strip().replace("−", "-")
+    def _parse(self, s):
         if "/" in s:
             num, den = s.split("/")
             return self.div(self.from_int(int(num)), self.from_int(int(den)))
@@ -213,12 +219,35 @@ def _poly_divmod(base, num, den):
     return quot, _poly_trim(num)
 
 
+def _poly_text(base, coeffs):
+    """Coefficients (lowest power first) as a 'c*t^k' sum, highest power
+    first, as ``_poly_terms`` reads it back."""
+    parts = []
+    for k in range(len(coeffs) - 1, -1, -1):
+        c = coeffs[k]
+        if base.is_zero(c):
+            continue
+        cs = base.to_str(c)
+        sign = "+" if parts else ""
+        if cs.startswith("-"):
+            sign, cs = "-", cs[1:]
+        if k == 0:
+            body = cs
+        else:
+            tpow = "t" if k == 1 else "t^%d" % k
+            body = tpow if cs == "1" else "%s*%s" % (cs, tpow)
+        parts.append(sign + body)
+    return "".join(parts) if parts else "0"
+
+
 class QuotientRing(Field):
     """base[t] / (modulus).  Used as a field when the modulus is irreducible.
 
     Irreducibility is verified for modulus degree <= 3 (no roots in the base);
     higher degrees are accepted with ``irreducible_assumed`` recorded, and any
-    zero divisor met during inversion raises NotAField.
+    zero divisor met during inversion raises NotAField.  Elements are tuples
+    of base scalars; a subclass may store them otherwise and override the
+    arithmetic, ``zero``/``one``/``gen`` and ``coefficients``.
     """
 
     def __init__(self, base, modulus):
@@ -262,16 +291,15 @@ class QuotientRing(Field):
                 acc = self.base.add(self.base.mul(acc, c), coef)
             if self.base.is_zero(acc):
                 raise FieldError(
-                    "modulus %s is reducible (root %s)"
-                    % (self._poly_str(self.modulus), self.base.to_str(c))
+                    "modulus %s is reducible over %s (root %s)"
+                    % (_poly_text(self.base, self.modulus), self.base.spec_string(),
+                       self.base.to_str(c))
                 )
         return True, False
 
     def _rational_root_candidates(self):
         # monic over QQ: clear denominators, then any rational root of the
         # integer polynomial a_n x^n + ... + a_0 is p/q with p | a_0, q | a_n
-        from math import lcm
-
         den = lcm(*[Fraction(c).denominator for c in self.modulus])
         ints = [int(Fraction(c) * den) for c in self.modulus]
         a0, an = ints[0], ints[-1]
@@ -363,75 +391,26 @@ class QuotientRing(Field):
         out[0] = c
         return tuple(out)
 
-    def elements(self):
-        if not isinstance(self.base, PrimeField):
-            raise NotImplementedError("field is not finite")
-        elems = [self.zero]
-        for k in range(self.degree):
-            new = []
-            for e in elems:
-                for c in self.base.elements():
-                    if c == self.base.zero:
-                        continue
-                    v = list(e)
-                    v[k] = c
-                    new.append(tuple(v))
-            elems = elems + new
-        return elems
+    def coefficients(self, a):
+        """The base-field coefficients of a, lowest power of t first."""
+        return a
 
     # -- parsing / printing --
 
-    def parse(self, s):
-        return _parse_poly_scalar(self, s)
+    def _parse(self, s):
+        s = s.replace(" ", "").replace("q", "t")
+        if not s:
+            raise ValueError("empty scalar")
+        acc = self.zero
+        for coef, k in _poly_terms(self.base, s):
+            acc = self.add(acc, self.mul(self.from_base(coef), self.pow(self.gen, k)))
+        return acc
 
     def to_str(self, a):
-        base = self.base
-        parts = []
-        for k in range(self.degree - 1, -1, -1):
-            c = a[k]
-            if base.is_zero(c):
-                continue
-            cs = base.to_str(c)
-            neg = cs.startswith("-")
-            if neg:
-                cs = cs[1:]
-            if k == 0:
-                body = cs
-            else:
-                tpow = "t" if k == 1 else "t^%d" % k
-                body = tpow if cs == "1" else "%s*%s" % (cs, tpow)
-            if not parts:
-                parts.append(("-" if neg else "") + body)
-            else:
-                parts.append(("-" if neg else "+") + body)
-        return "".join(parts) if parts else "0"
-
-    def _poly_str(self, coeffs):
-        return "+".join(
-            "%s*t^%d" % (self.base.to_str(c), k)
-            for k, c in enumerate(coeffs)
-            if not self.base.is_zero(c)
-        )
+        return _poly_text(self.base, self.coefficients(a))
 
     def spec_string(self):
-        base = self.base
-        parts = []
-        for k in range(self.degree, -1, -1):
-            c = self.modulus[k]
-            if base.is_zero(c):
-                continue
-            cs = base.to_str(c)
-            neg = cs.startswith("-")
-            if neg:
-                cs = cs[1:]
-            if k == 0:
-                body = cs
-            else:
-                tpow = "t" if k == 1 else "t^%d" % k
-                body = tpow if cs == "1" else "%s*%s" % (cs, tpow)
-            parts.append(("-" if neg and parts else ("-" if neg else "+" if parts else "")) + body)
-        poly = "".join(parts)
-        return "%s[t]/(%s)" % (base.spec_string(), poly)
+        return "%s[t]/(%s)" % (self.base.spec_string(), _poly_text(self.base, self.modulus))
 
 
 def _divisors(n):
@@ -446,39 +425,25 @@ def _divisors(n):
     return sorted(out)
 
 
-class QuadraticRationalField(Field):
+class QuadraticRationalField(QuotientRing):
     """QQ[t]/(t^2 + u t + v) with integer u, v and irreducible modulus.
 
-    Drop-in replacement for the generic quotient ring in the common case;
+    The generic quotient ring with another element representation:
     scalars are normalized integer triples (a, b, den) meaning
     (a + b t) / den with gcd(a, b, den) = 1 and den >= 1.  The compact
     representation keeps the eliminations in the graded engines fast.
     """
 
-    characteristic = 0
-    degree = 2
-
     def __init__(self, u, v):
-        disc = u * u - 4 * v
-        r = _isqrt_exact(abs(disc))
-        if disc >= 0 and r is not None:
-            raise FieldError(
-                "modulus t^2%+d*t%+d is reducible over QQ" % (u, v)
-            )
+        super().__init__(RationalField(), (Fraction(v), Fraction(u), Fraction(1)))
         self.u = u
         self.v = v
-        self.modulus = (Fraction(v), Fraction(u), Fraction(1))
         self.zero = (0, 0, 1)
         self.one = (1, 0, 1)
         self.gen = (0, 1, 1)
-        self.irreducible_checked = True
-        self.irreducible_assumed = False
-        self.base = RationalField()
 
     @staticmethod
     def _norm(a, b, den):
-        from math import gcd
-
         if den < 0:
             a, b, den = -a, -b, -den
         g = gcd(gcd(a, b), den)
@@ -531,79 +496,13 @@ class QuadraticRationalField(Field):
     def pair(self, c0, c1):
         """Element c0 + c1 t from base-field coefficients."""
         c0, c1 = Fraction(c0), Fraction(c1)
-        den = c0.denominator * c1.denominator // _gcd2(c0.denominator, c1.denominator)
-        return self._norm(
-            int(c0 * den), int(c1 * den), den
-        )
+        den = lcm(c0.denominator, c1.denominator)
+        return self._norm(int(c0 * den), int(c1 * den), den)
 
     def coefficients(self, x):
         """(constant, t-coefficient) as Fractions."""
         a, b, den = x
         return Fraction(a, den), Fraction(b, den)
-
-    def parse(self, s):
-        return _parse_poly_scalar(self, s)
-
-    def to_str(self, x):
-        c0, c1 = self.coefficients(x)
-        parts = []
-        if c1:
-            cs = str(c1)
-            neg = cs.startswith("-")
-            if neg:
-                cs = cs[1:]
-            body = "t" if cs == "1" else "%s*t" % cs
-            parts.append(("-" if neg else "") + body)
-        if c0 or not parts:
-            cs = str(c0)
-            neg = cs.startswith("-")
-            if neg:
-                cs = cs[1:]
-            parts.append(("-" if neg else "+" if parts else "") + cs)
-        return "".join(parts)
-
-    def spec_string(self):
-        terms = ["t^2"]
-        if self.u:
-            terms.append(_int_term(self.u, "t"))
-        if self.v:
-            terms.append(_int_term(self.v, ""))
-        return "QQ[t]/(%s)" % "".join(terms)
-
-
-def _int_term(c, sym):
-    sign = "-" if c < 0 else "+"
-    c = abs(c)
-    if sym and c == 1:
-        return sign + sym
-    if sym:
-        return "%s%d*%s" % (sign, c, sym)
-    return "%s%d" % (sign, c)
-
-
-def _gcd2(a, b):
-    from math import gcd
-
-    return gcd(a, b)
-
-
-def _isqrt_exact(n):
-    from math import isqrt
-
-    r = isqrt(n)
-    return r if r * r == n else None
-
-
-def _parse_poly_scalar(field, s):
-    """Parse 'c*t^k' sums for any field exposing base/gen/from_base/pow."""
-    s = s.strip().replace("−", "-").replace(" ", "")
-    s = s.replace("q", "t")
-    if not s:
-        raise ValueError("empty scalar")
-    acc = field.zero
-    for coef, k in _poly_terms(field.base, s):
-        acc = field.add(acc, field.mul(field.from_base(coef), field.pow(field.gen, k)))
-    return acc
 
 
 def _poly_terms(base, s):
@@ -624,7 +523,7 @@ def _poly_terms(base, s):
         if "t" in term:
             coef_s, _, pow_s = term.partition("t")
             coef_s = coef_s.rstrip("*")
-            coef = base.parse(coef_s) if coef_s else base.one
+            coef = base._parse(coef_s) if coef_s else base.one
             if pow_s.startswith("^"):
                 k = int(pow_s[1:])
             elif pow_s == "":
@@ -632,7 +531,7 @@ def _poly_terms(base, s):
             else:
                 raise ValueError("bad term %r" % term)
         else:
-            coef = base.parse(term)
+            coef = base._parse(term)
             k = 0
         yield (base.neg(coef) if sign < 0 else coef), k
 
@@ -657,9 +556,10 @@ def parse_field(spec):
     if (
         isinstance(base, RationalField)
         and len(coeffs) == 3
-        and all(Fraction(c).denominator == 1 for c in coeffs)
+        and coeffs[2] == 1
+        and all(c.denominator == 1 for c in coeffs)
     ):
-        return QuadraticRationalField(int(Fraction(coeffs[1])), int(Fraction(coeffs[0])))
+        return QuadraticRationalField(int(coeffs[1]), int(coeffs[0]))
     return QuotientRing(base, coeffs)
 
 
@@ -669,9 +569,9 @@ def _parse_modulus(base, s):
     try:
         for coef, k in _poly_terms(base, s):
             terms[k] = base.add(terms.get(k, base.zero), coef)
-    except ValueError as exc:
+        deg = max(terms)
+    except (ValueError, ZeroDivisionError) as exc:
         raise FieldError("bad modulus %r: %s" % (s, exc)) from exc
-    deg = max(terms)
     return [terms.get(k, base.zero) for k in range(deg + 1)]
 
 

@@ -7,6 +7,11 @@ of (n, r) pairs with n None for the infinite factor.
 """
 from __future__ import annotations
 
+from collections import Counter
+
+# factorizations returns at most this many candidates
+MAX_SOLUTIONS = 64
+
 
 def poly_mul(a, b, trunc=None):
     n = len(a) + len(b) - 1
@@ -76,7 +81,7 @@ def _mul_one_minus_tk_power(r, k, e, trunc):
     return out
 
 
-def factorizations(series, trunc, max_solutions=64):
+def factorizations(series, trunc):
     """All multisets of factors matching the series up to degree ``trunc``.
 
     Factors are (n, 1) and (n, 2) with 2 <= n <= trunc, plus tail factors
@@ -99,7 +104,7 @@ def factorizations(series, trunc, max_solutions=64):
     odd_a = {k: exps.get(k, 0) for k in range(3, trunc + 1, 2)}
 
     def assign(idx, a_counts, b_counts):
-        if len(solutions) >= max_solutions:
+        if len(solutions) >= MAX_SOLUTIONS:
             return
         if idx == len(evens):
             _close_solution(a_counts, b_counts)
@@ -143,7 +148,7 @@ def factorizations(series, trunc, max_solutions=64):
             factors.sort(key=lambda f: (f[1], f[0] is None, f[0] or 0))
             if factors not in solutions:
                 solutions.append(factors)
-            if len(solutions) >= max_solutions:
+            if len(solutions) >= MAX_SOLUTIONS:
                 return
 
     assign(0, {}, {})
@@ -156,8 +161,6 @@ def factorizations(series, trunc, max_solutions=64):
 
 
 def format_factorization(factors):
-    from collections import Counter
-
     counts = Counter(factors)
     parts = []
     for (n, r), c in sorted(

@@ -5,11 +5,12 @@ strand indices are 1-based (1 <= i <= n-1) as usual for braid generators.
 """
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import dataclass
 
 from . import perms
-from .racks import Rack, trivial_rack, preset
+from .racks import Rack, invariants, is_braided, preset, trivial_rack
 
 DEFAULT_ORBIT_CAP = 10**6
 
@@ -101,14 +102,9 @@ class OrbitCensus:
     formula_counts: dict | None = None  # closed-form prediction (braided n=3)
     formula_agrees: bool | None = None
 
-    def orbit_sizes(self):
-        return sorted(self.counts)
-
 
 def orbits(r, n=3, cap=DEFAULT_ORBIT_CAP):
     """All Hurwitz orbits of X^n, seeds in lexicographic order."""
-    import itertools
-
     seen = set()
     out = []
     for tup in itertools.product(range(r.size), repeat=n):
@@ -132,8 +128,6 @@ def census(r, n=3, cap=DEFAULT_ORBIT_CAP):
     least member; parallel workers claiming seeds under that rule would
     produce the identical partition this single-threaded walk does.
     """
-    from .racks import invariants, is_braided
-
     counts = {}
     for o in orbits(r, n, cap=cap):
         counts[o.size] = counts.get(o.size, 0) + 1
@@ -273,8 +267,6 @@ def reference_orbit(size):
             raise KeyError("no reference orbit of size %d" % size)
         r, seed = seeds[size]
         if seed is None:
-            import itertools
-
             for tup in itertools.product(range(r.size), repeat=3):
                 o = orbit(r, tup)
                 if o.size == size:

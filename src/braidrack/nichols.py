@@ -20,6 +20,10 @@ from .linalg import Echelon, SparseMatrix, axpy, rank
 from .percolate import minimal_plague_cached
 
 DIRECT_WORD_CAP = 3 * 10**5
+# orbits up to this size get the exact minimal-plague bound in cubic_kernel
+BOUND_ORBIT_CAP = 24
+# max_k3 scans k3 = 0..MAX_K3_SCAN
+MAX_K3_SCAN = 200
 
 
 class DegreeCap(Exception):
@@ -197,15 +201,15 @@ class _Grading:
 # ---------------------------------------------------------------------------
 # direct engine: rank of S_n blockwise over the Hurwitz orbits of X^n
 
-def graded_dim_direct(b, n, word_cap=DIRECT_WORD_CAP):
+def graded_dim_direct(b, n):
     """dim of the degree-n component as rank S_n, summed over orbit blocks."""
     if n == 0:
         return 1
-    if b.dim**n > word_cap:
+    if b.dim**n > DIRECT_WORD_CAP:
         raise DegreeCap("d^n = %d exceeds the word cap" % b.dim**n)
     f = b.field
     total = 0
-    for o in hurwitz_orbits(b.rack, n, cap=word_cap):
+    for o in hurwitz_orbits(b.rack, n, cap=DIRECT_WORD_CAP):
         index = o.index
         m = SparseMatrix(o.size, o.size)
         for j, w in enumerate(o.tuples):
@@ -379,10 +383,9 @@ class NicholsEngine(GradedEngine):
                 self.nfmul[n][cand] = {i: f.neg(c) for i, c in expr.items()}
 
 
-def graded_dims(b, up_to, engine=None):
+def graded_dims(b, up_to):
     """Graded dimensions 0..up_to via the differential engine."""
-    eng = engine or NicholsEngine(b)
-    return eng.dims(up_to)
+    return NicholsEngine(b).dims(up_to)
 
 
 # ---------------------------------------------------------------------------
@@ -403,10 +406,6 @@ class CubicKernelReport:
     blocks: list
     dim_v: int
 
-    @property
-    def per_orbit(self):
-        return {blk.seed: blk.kernel_dim for blk in self.blocks}
-
     def many_cubic_threshold(self):
         return Fraction(self.dim_v * (self.dim_v**2 - 1), 3)
 
@@ -414,12 +413,12 @@ class CubicKernelReport:
         return Fraction(self.total) >= self.many_cubic_threshold()
 
 
-def cubic_kernel(b, bound_orbit_cap=24):
+def cubic_kernel(b):
     """dim ker(1 + c12 + c12 c23) summed over Hurwitz 3-orbit blocks.
 
     Each block is checked against the immunity bound (kernel <= imm * size),
     raising ImmunityBoundViolated if it fails; the bound is only evaluated
-    for orbit sizes <= ``bound_orbit_cap`` where the exact minimal plague
+    for orbit sizes <= ``BOUND_ORBIT_CAP`` where the exact minimal plague
     search is cheap.
     """
     f = b.field
@@ -432,7 +431,7 @@ def cubic_kernel(b, bound_orbit_cap=24):
             for nw, c in _x_terms(b, w, 0, 3):
                 vec_add_into(f, m.rows[index[nw]], j, c)
         dim = o.size - rank(f, m)
-        if o.size <= bound_orbit_cap:
+        if o.size <= BOUND_ORBIT_CAP:
             imm = minimal_plague_cached(o).immunity
             bound = imm * o.size
             if dim > bound:
@@ -466,7 +465,7 @@ class ConditionsReport:
         return self.cond1_truncated and self.cond2 and self.cond3
 
 
-def check_conditions(b, hilbert_degree=4, engine=None):
+def check_conditions(b, hilbert_degree=4):
     """Evaluate the three equivalent finiteness conditions.
 
     cond3: dim ker(1 + c12 + c12 c23) >= dim V ((dim V)^2 - 1) / 3;
@@ -476,7 +475,7 @@ def check_conditions(b, hilbert_degree=4, engine=None):
     """
     if hilbert_degree < 3:
         raise ValueError("hilbert_degree must be >= 3")
-    dims = graded_dims(b, hilbert_degree, engine=engine)
+    dims = graded_dims(b, hilbert_degree)
     ck = cubic_kernel(b)
     dv = b.dim
     threshold = Fraction(dv * (dv * dv - 1), 3)
@@ -568,10 +567,10 @@ def lemma_reduction_generic(e, k3, m):
     return e * e * k3 * k3 - e * e * m + 6 * e * k3 - 24
 
 
-def max_k3(e, minus_one=True, scan_to=200):
+def max_k3(e, minus_one=True):
     """Largest k3 for which some admissible m (0 <= m <= k3, 3 | m) passes."""
     best = 0
-    for k3 in range(scan_to + 1):
+    for k3 in range(MAX_K3_SCAN + 1):
         ms = [m for m in range(0, k3 + 1, 3)]
         if minus_one:
             ok = any(lemma_reduction_minus_one(e, k3, m) <= 0 for m in ms)

@@ -87,9 +87,6 @@ class PlagueResult:
     certified: bool      # exhaustive search below min_size found nothing
     seeds_closed: int = field(default=0, compare=False)  # closures this call computed
 
-    def witness_tuples(self, o):
-        return [o.tuples[i] for i in self.witness]
-
 
 class SymmetryCheckFailed(RuntimeError):
     """A map the plague search relies on is not an orbit-graph isomorphism."""

@@ -5,6 +5,8 @@ matching function composition applied right to left.
 """
 from __future__ import annotations
 
+from math import lcm
+
 
 def identity(n):
     return tuple(range(n))
@@ -47,13 +49,7 @@ def cycle_type(p):
 
 
 def order(p):
-    from math import lcm
-
     return lcm(*cycle_type(p))
-
-
-def moved_points(p):
-    return [i for i, v in enumerate(p) if v != i]
 
 
 def mulclose(generators, cap=None):

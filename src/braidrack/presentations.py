@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .braiding import BraidedSpace
+from .braiding import BraidedSpace, cocycle_preset
 from .linalg import Echelon, axpy
 from .nichols import (
     GradedEngine,
@@ -30,9 +30,6 @@ class Presentation:
             degs = {len(w) for w in r}
             if len(degs) != 1:
                 raise NotHomogeneous("every relation must be homogeneous")
-
-    def relation_degrees(self):
-        return sorted({len(next(iter(r))) for r in self.relations})
 
 
 def relation_in_kernel(p, engine=None, method="nf"):
@@ -208,8 +205,6 @@ T_NEW_CHAIN = "ccdccdccddccbbddbaddaabb"
 
 def integral_preset(name):
     """(braided space, relations, integral word, derivation chain letters)."""
-    from .braiding import cocycle_preset
-
     if name == "d3char2":
         space = cocycle_preset("d3char2")
         rels = d3_char2_relations(space.field)

@@ -434,7 +434,7 @@ def return_sequence_index(r, x, y, max_n):
     return None
 
 
-def invariants(r, k_max=None):
+def invariants(r):
     """All rack invariants.  k_n / m / t / degree need an indecomposable,
     faithful rack; otherwise those fields are None with a reason in notes."""
     comp = components(r)
@@ -463,8 +463,7 @@ def invariants(r, k_max=None):
         )
         inv.degree = perms.order(r.phi(0))
         return inv
-    if k_max is None:
-        k_max = 2 * r.size
+    k_max = 2 * r.size
     x = 0
     k = {}
     for y in range(r.size):

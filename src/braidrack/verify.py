@@ -9,6 +9,7 @@ certificates and the structural invariant sweep.
 """
 from __future__ import annotations
 
+import itertools
 import random
 import time
 from dataclasses import dataclass, field as dc_field
@@ -26,7 +27,7 @@ from .braiding import (
 )
 from .fields import QQ, parse_field
 from .hurwitz import REFERENCE_SIZES, census, orbits, reference_orbit
-from .linalg import SparseMatrix, kernel_dim
+from .linalg import SparseMatrix, kernel_basis, kernel_dim
 from .racks import is_isomorphic, preset
 from . import perms
 
@@ -290,7 +291,7 @@ def check_negative_controls(report):
 # ---------------------------------------------------------------------------
 # P9 classification
 
-def check_classification(report, size_max=12):
+def check_classification(report):
     jobs = [
         ("deg2-k3<=6", (2,), 6, ["D3", "A", "C"]),
         ("deg3-k3<=6", (3,), 6, ["T"]),
@@ -298,10 +299,10 @@ def check_classification(report, size_max=12):
         ("deg6-k3<=6", (6,), 6, ["Aff(7,3)", "Aff(7,5)"]),
     ]
     for label, degs, k3m, expected in jobs:
-        res = classify.search(classify.SearchSpec(degrees=degs, k3_max=k3m, size_max=size_max))
+        res = classify.search(classify.SearchSpec(degrees=degs, k3_max=k3m))
         names = _identify(res, expected)
         report.add("P9-classify", label, "reference-table", sorted(expected), sorted(names))
-    res8 = classify.search(classify.SearchSpec(degrees=(2,), k3_max=8, size_max=size_max))
+    res8 = classify.search(classify.SearchSpec(degrees=(2,), k3_max=8))
     found = any(is_isomorphic(r, preset("Aff(9,2)")) for r in res8)
     report.add("P9-classify", "deg2-k3<=8-finds-Aff(9,2)", "reference-table", True, found)
 
@@ -451,21 +452,16 @@ def check_structural(report, twists=20):
         report.add("P12-structure", label + "-block-diagonality", "closed-form",
                    True, blocks_ok)
 
-        try:
-            nichols.cubic_kernel(b)
-            bound_ok = True
-        except nichols.ImmunityBoundViolated:
-            bound_ok = False
+        ck = _cubic_kernel_total(b)
         report.add("P12-structure", label + "-immunity-bounds", "closed-form",
-                   True, bound_ok)
+                   True, ck is not None)
 
-        ck = nichols.cubic_kernel(b).total
         dims_base = nichols.graded_dims(b, 3)
         ok_twist = True
         for _ in range(twists):
             fvals = [_random_unit(f, rng) for _ in range(b.dim)]
             bt = BraidedSpace(coboundary_twist(b.cocycle, fvals))
-            if nichols.cubic_kernel(bt).total != ck:
+            if _cubic_kernel_total(bt) != ck:
                 ok_twist = False
             if nichols.graded_dims(bt, 3) != dims_base:
                 ok_twist = False
@@ -475,6 +471,14 @@ def check_structural(report, twists=20):
         ok_deriv = _derivation_biconditional(b, min(4, max_deg), rng)
         report.add("P12-structure", label + "-derivation-biconditional",
                    "closed-form", True, ok_deriv)
+
+
+def _cubic_kernel_total(b):
+    """dim of the cubic kernel, or None when a block breaks its immunity bound."""
+    try:
+        return nichols.cubic_kernel(b).total
+    except nichols.ImmunityBoundViolated:
+        return None
 
 
 def _random_unit(f, rng):
@@ -514,8 +518,6 @@ def _derivation_biconditional(b, max_deg, rng):
     """u in ker S_n iff all d_x(u) are in ker S_{n-1}, degrees <= max_deg."""
     f = b.field
     d = b.dim
-    import itertools
-
     for n in range(2, max_deg + 1):
         words = list(itertools.product(range(d), repeat=n))
         idx = {w: i for i, w in enumerate(words)}
@@ -524,8 +526,6 @@ def _derivation_biconditional(b, max_deg, rng):
             for nw, c in nichols.symmetrizer_apply(b, n, {w: f.one}).items():
                 if not f.is_zero(c):
                     m.rows[idx[nw]][j] = c
-        from .linalg import kernel_basis
-
         for kv in kernel_basis(f, m):
             u = {words[j]: c for j, c in kv.items()}
             for x in range(d):
@@ -574,6 +574,9 @@ def verify_paper(profile="quick", threads=None):
             check_structural,
         ]
     if threads and threads > 1:
+        # imported here, not at the top: concurrent.futures brings logging
+        # and queue with it, about 0.3 MB in every process that imports
+        # braidrack, serial runs included
         from concurrent.futures import ThreadPoolExecutor
 
         with ThreadPoolExecutor(max_workers=threads) as pool:

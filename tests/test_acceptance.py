@@ -167,6 +167,7 @@ def test_p6_tetrahedral_series():
 
 # -- P7 (full) ---------------------------------------------------------------
 
+@pytest.mark.slow
 def test_p7_new_tetrahedral(t_new_certificate):
     t0 = time.time()
     cert = t_new_certificate

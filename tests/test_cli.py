@@ -138,6 +138,20 @@ def test_nichols_dims_with_cocycle_file(tmp_path, capsys):
     assert json.loads(out)["dims"] == [1, 3, 4, 3, 1]
 
 
+def test_malformed_cocycle_scalar_is_named_in_the_error(tmp_path, capsys):
+    cocycle = {
+        "rack": "D3",
+        "field": "QQ[t]/(t^2+t+1)",
+        "values": [["1+-t", "-1", "-1"]] + [["-1", "-1", "-1"]] * 2,
+    }
+    f = tmp_path / "cocycle.json"
+    f.write_text(json.dumps(cocycle))
+    code = main(["nichols", "dims", "--cocycle", str(f), "--max-degree", "2"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "'1+-t'" in err
+
+
 def test_nichols_integral(capsys):
     code, out = run(capsys, "--format", "json", "nichols", "integral", "--preset", "d3char2")
     assert code == 0

@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction
 
 import pytest
@@ -11,10 +12,17 @@ from braidrack.fields import (
     NotAField,
     QuadraticRationalField,
     QuotientRing,
+    RationalField,
     parse_field,
 )
 
 SPECS = ["QQ", "Fp(7)", "Fp(2)", "QQ[t]/(t^2+t+1)", "QQ[t]/(t^2-t+1)", "Fp(2)[t]/(t^2+t+1)", "Fp(3)[t]/(t^2+1)"]
+# every kind of field: prime fields, QQ quotients of degree 2 (integer and
+# fractional coefficients), 3 and 4, and F4, F9, F25, F125
+ALL_KINDS = SPECS + [
+    "QQ[t]/(t^2+3*t-5)", "QQ[t]/(t^2+1/2)", "QQ[t]/(t^3-2)", "QQ[t]/(t^4+1)",
+    "Fp(5)[t]/(t^2+2)", "Fp(5)[t]/(t^3+t+1)",
+]
 
 
 @pytest.mark.parametrize("spec", SPECS)
@@ -125,3 +133,63 @@ def test_quadratic_triple_arithmetic_matches_fractions(a1, b1, a2, b2, d1, d2):
 def test_prime_field_requires_prime():
     with pytest.raises(FieldError):
         GF(6)
+
+
+def _element(f, coeffs):
+    """sum of (num/den) t^k over the given (num, den) pairs, built by arithmetic."""
+    x = f.zero
+    for k, (num, den) in enumerate(coeffs[: getattr(f, "degree", 1)]):
+        d = f.from_int(den)
+        c = f.div(f.from_int(num), d) if not f.is_zero(d) else f.from_int(num)
+        x = f.add(x, c if k == 0 else f.mul(c, f.pow(f.gen, k)))
+    return x
+
+
+_COEFFS = st.lists(st.tuples(st.integers(-60, 60), st.integers(1, 12)), min_size=4, max_size=4)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(ALL_KINDS), _COEFFS)
+def test_print_parse_roundtrip_over_every_field_kind(spec, coeffs):
+    f = parse_field(spec)
+    x = _element(f, coeffs)
+    assert f.parse(f.to_str(x)) == x
+    g = parse_field(f.spec_string())
+    assert g == f and type(g) is type(f)
+
+
+_QUADRATICS = [(1, 1), (-1, 1), (3, -5), (0, 1), (0, 2), (5, 7)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(_QUADRATICS), _COEFFS)
+def test_quadratic_field_matches_the_generic_quotient_ring(uv, coeffs):
+    # the generic tuple representation is the reference for the integer triples
+    fast = QuadraticRationalField(*uv)
+    ref = QuotientRing(RationalField(), fast.modulus)
+    (a1, d1), (b1, e1), (a2, d2), (b2, e2) = coeffs
+    xr = (Fraction(a1, d1), Fraction(b1, e1))
+    yr = (Fraction(a2, d2), Fraction(b2, e2))
+    x, y = fast.pair(*xr), fast.pair(*yr)
+    assert fast.coefficients(x) == xr
+    assert fast.coefficients(fast.add(x, y)) == ref.add(xr, yr)
+    assert fast.coefficients(fast.sub(x, y)) == ref.sub(xr, yr)
+    assert fast.coefficients(fast.mul(x, y)) == ref.mul(xr, yr)
+    assert fast.to_str(x) == ref.to_str(xr)
+    assert fast.spec_string() == ref.spec_string()
+    if not fast.is_zero(x):
+        assert fast.coefficients(fast.inv(x)) == ref.inv(xr)
+
+
+@pytest.mark.parametrize("spec", ALL_KINDS)
+def test_malformed_literal_raises_field_error_naming_it(spec):
+    f = parse_field(spec)
+    for literal in ["1+-t", "--1", "1/0", "t/2", ""]:
+        with pytest.raises(FieldError, match=re.escape("%r for %s" % (literal, spec))):
+            f.parse(literal)
+
+
+def test_bad_modulus_raises_field_error():
+    for spec in ["QQ[t]/(2*t^2+1)", "QQ[t]/(t^2+1/0)", "QQ[t]/(t^2+-1)", "Fp(3)[t]/(t^2+1/0)"]:
+        with pytest.raises(FieldError):
+            parse_field(spec)

@@ -51,3 +51,18 @@ def test_structural_check_separates_bound_violations_from_faults(monkeypatch):
     monkeypatch.setattr(nichols, "cubic_kernel", failing_once(AssertionError("fault")))
     with pytest.raises(AssertionError):
         verify.check_structural(verify.Report(profile="full"), twists=0)
+
+
+def test_structural_check_completes_when_every_bound_is_violated(monkeypatch):
+    space = verify._structural_spaces()[0]
+    monkeypatch.setattr(verify, "_structural_spaces", lambda: [space])
+    monkeypatch.setattr(nichols, "minimal_plague_cached", _zero_immunity)
+    rep = verify.Report(profile="full")
+    verify.check_structural(rep, twists=2)
+    assert [e.name for e in rep.entries] == [
+        "D3-minus1-" + check
+        for check in ("YBE", "kernel-identity", "block-diagonality", "immunity-bounds",
+                      "twist-invariance", "derivation-biconditional")
+    ]
+    bounds = [e for e in rep.entries if e.name.endswith("-immunity-bounds")]
+    assert [e.computed for e in bounds] == [False]
