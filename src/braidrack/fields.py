@@ -71,6 +71,26 @@ class Field:
     def is_zero(self, a):
         return a == self.zero
 
+    def axpy(self, target, source, factor):
+        """target += factor * source on sparse dicts, dropping zeros.
+
+        The generic loop; a subclass overrides it with the same result
+        computed in its own representation.
+        """
+        fadd, fmul, fzero = self.add, self.mul, self.is_zero
+        if fzero(factor):
+            return
+        for j, v in source.items():
+            cur = target.get(j)
+            if cur is None:
+                target[j] = fmul(factor, v)
+            else:
+                s = fadd(cur, fmul(factor, v))
+                if fzero(s):
+                    del target[j]
+                else:
+                    target[j] = s
+
     def from_int(self, n):
         raise NotImplementedError
 
@@ -101,10 +121,12 @@ class Field:
         return r
 
     def __eq__(self, other):
-        return isinstance(other, Field) and self.spec_string() == other.spec_string()
+        # the type fixes the element representation: equal specs with
+        # different types (integer triples against Fraction pairs) differ
+        return type(other) is type(self) and self.spec_string() == other.spec_string()
 
     def __hash__(self):
-        return hash(self.spec_string())
+        return hash((type(self), self.spec_string()))
 
     def __repr__(self):
         return "Field(%r)" % self.spec_string()
@@ -136,6 +158,21 @@ class RationalField(Field):
         if a == 0:
             raise ZeroDivisionError("inverse of zero")
         return 1 / a
+
+    def axpy(self, target, source, factor):
+        if not factor:
+            return
+        get = target.get
+        for j, v in source.items():
+            cur = get(j)
+            if cur is None:
+                target[j] = factor * v
+            else:
+                s = cur + factor * v
+                if s:
+                    target[j] = s
+                else:
+                    del target[j]
 
     def from_int(self, n):
         return Fraction(n)
@@ -175,6 +212,24 @@ class PrimeField(Field):
         if a % self.p == 0:
             raise ZeroDivisionError("inverse of zero in Fp(%d)" % self.p)
         return pow(a, self.p - 2, self.p)
+
+    def axpy(self, target, source, factor):
+        p = self.p
+        # reduced once here, so a factor of p never stores an explicit 0
+        factor %= p
+        if not factor:
+            return
+        get = target.get
+        for j, v in source.items():
+            cur = get(j)
+            if cur is None:
+                target[j] = factor * v % p
+            else:
+                s = (cur + factor * v) % p
+                if s:
+                    target[j] = s
+                else:
+                    del target[j]
 
     def from_int(self, n):
         return n % self.p
@@ -485,6 +540,31 @@ class QuadraticRationalField(QuotientRing):
 
     def is_zero(self, x):
         return x[0] == 0 and x[1] == 0
+
+    def axpy(self, target, source, factor):
+        fa, fb, fd = factor
+        if fa == 0 and fb == 0:
+            return
+        # factor * (a + b t) = (fa a - v fb b) + (fb a + (fa - u fb) b) t
+        vfb, c1 = self.v * fb, fa - self.u * fb
+        get = target.get
+        for j, (a, b, d) in source.items():
+            pa, pb, pd = fa * a - vfb * b, fb * a + c1 * b, fd * d
+            cur = get(j)
+            if cur is not None:
+                ca, cb, cd = cur
+                if cd == pd:
+                    pa, pb = ca + pa, cb + pb
+                else:
+                    pa, pb, pd = ca * pd + pa * cd, cb * pd + pb * cd, cd * pd
+                if pa == 0 and pb == 0:
+                    del target[j]
+                    continue
+            if pd == 1:
+                target[j] = (pa, pb, 1)
+            else:
+                g = gcd(pa, pb, pd)
+                target[j] = (pa // g, pb // g, pd // g) if g > 1 else (pa, pb, pd)
 
     def from_int(self, n):
         return (n, 0, 1)

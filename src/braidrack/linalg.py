@@ -1,9 +1,10 @@
 """Exact sparse linear algebra over the fields of :mod:`braidrack.fields`.
 
 Matrices are row-sparse: a list of dicts column -> scalar, with no explicit
-zeros.  There is one elimination, :class:`Echelon`: Gaussian elimination
-over the field into fully reduced rows.  Both graded engines, kernels and
-every rank use it.
+zeros; the field's own ``axpy`` adds a multiple of one to another.  There
+is one elimination, :class:`Echelon`: Gaussian elimination over the field
+into fully reduced rows.  Both graded engines, kernels and every rank use
+it.
 """
 from __future__ import annotations
 
@@ -24,23 +25,6 @@ class SparseMatrix:
                 if not field.is_zero(v):
                     m.rows[i][j] = v
         return m
-
-
-def axpy(field, target, source, factor):
-    """target += factor * source on sparse dicts, dropping zeros."""
-    fadd, fmul, fzero = field.add, field.mul, field.is_zero
-    if fzero(factor):
-        return
-    for j, v in source.items():
-        cur = target.get(j)
-        if cur is None:
-            target[j] = fmul(factor, v)
-        else:
-            s = fadd(cur, fmul(factor, v))
-            if fzero(s):
-                del target[j]
-            else:
-                target[j] = s
 
 
 class Echelon:
@@ -65,16 +49,17 @@ class Echelon:
         the same factor: when every row is its tag applied to some source
         vectors, ``vec`` minus ``expr`` applied to them stays fixed.
         """
-        rows, neg = self.rows, self.field.neg
+        rows, neg, axpy = self.rows, self.field.neg, self.field.axpy
         for key in [k for k in vec if k in rows]:
             c = neg(vec[key])
-            axpy(self.field, vec, rows[key], c)
+            axpy(vec, rows[key], c)
             if expr is not None:
-                axpy(self.field, expr, self.tags[key], c)
+                axpy(expr, self.tags[key], c)
 
     def insert(self, vec, tag=None):
         """Add a reduced nonzero ``vec`` as a row, reducing the others by it."""
         f = self.field
+        axpy = f.axpy
         piv = min(vec)
         inv = f.inv(vec[piv])
         row = {k: f.mul(v, inv) for k, v in vec.items()}
@@ -84,9 +69,9 @@ class Echelon:
             c = other.get(piv)
             if c is not None:
                 c = f.neg(c)
-                axpy(f, other, row, c)
+                axpy(other, row, c)
                 if tag is not None:
-                    axpy(f, self.tags[p], tag, c)
+                    axpy(self.tags[p], tag, c)
         self.rows[piv] = row
         if tag is not None:
             self.tags[piv] = tag

@@ -16,14 +16,12 @@ from fractions import Fraction
 
 from . import hilbert
 from .hurwitz import orbits as hurwitz_orbits
-from .linalg import Echelon, SparseMatrix, axpy, rank
+from .linalg import Echelon, SparseMatrix, rank
 from .percolate import minimal_plague_cached
 
 DIRECT_WORD_CAP = 3 * 10**5
 # orbits up to this size get the exact minimal-plague bound in cubic_kernel
 BOUND_ORBIT_CAP = 24
-# max_k3 scans k3 = 0..MAX_K3_SCAN
-MAX_K3_SCAN = 200
 
 
 class DegreeCap(Exception):
@@ -296,8 +294,9 @@ class GradedEngine:
         """y times a vector in basis[n-1] coordinates, in basis[n] coordinates."""
         out = {}
         nf = self.nfmul[n]
+        axpy = self.f.axpy
         for j, c in coords.items():
-            axpy(self.f, out, nf[(y, j)], c)
+            axpy(out, nf[(y, j)], c)
         return out
 
     def _word_times(self, word, coords, n):
@@ -310,10 +309,11 @@ class GradedEngine:
         """Class of a free degree-n vector in basis[n] coordinates."""
         self.extend(n)
         out = {}
+        axpy, one = self.f.axpy, self.f.one
         for w, c in vec.items():
             if len(w) != n:
                 raise NotHomogeneous("vector mixes degrees")
-            axpy(self.f, out, self._word_times(w, {0: self.f.one}, 0), c)
+            axpy(out, self._word_times(w, {0: one}, 0), c)
         return out
 
 
@@ -340,6 +340,7 @@ class NicholsEngine(GradedEngine):
         """Per candidate y * basis[n-1][j], its derivations (d_x)_x in
         coordinates (x, i) -> x * len(basis[n-1]) + i."""
         f = self.f
+        axpy = f.axpy
         d = self.b.dim
         q = self.b.cocycle.q
         phi = [self.b.rack.phi(x) for x in range(d)]
@@ -355,7 +356,7 @@ class NicholsEngine(GradedEngine):
                     if dv:
                         xnb = phi[y][xp] * nb
                         ydv = self._lmul(y, dv, n - 1)
-                        axpy(f, vec, {xnb + i: c for i, c in ydv.items()}, q[y][xp])
+                        axpy(vec, {xnb + i: c for i, c in ydv.items()}, q[y][xp])
                 vecs.append(vec)
         return vectors
 
@@ -567,16 +568,24 @@ def lemma_reduction_generic(e, k3, m):
     return e * e * k3 * k3 - e * e * m + 6 * e * k3 - 24
 
 
+def k3_bound(e, minus_one=True):
+    """The least k3 from which no admissible m passes the lemma reduction.
+
+    For 0 <= m <= k3 the minus-one LHS is at least k3 (e (k3 - 1) - 6), and
+    the generic one at least e^2 k3 (k3 - 1) + 6 e k3 - 24.  The first is
+    positive once k3 > 1 + 6/e, the second once k3 > 4/e.
+    """
+    if e < 1:
+        raise ValueError("e must be positive, got %r" % (e,))
+    return 2 + 6 // e if minus_one else 1 + 4 // e
+
+
 def max_k3(e, minus_one=True):
     """Largest k3 for which some admissible m (0 <= m <= k3, 3 | m) passes."""
+    lhs = lemma_reduction_minus_one if minus_one else lemma_reduction_generic
     best = 0
-    for k3 in range(MAX_K3_SCAN + 1):
-        ms = [m for m in range(0, k3 + 1, 3)]
-        if minus_one:
-            ok = any(lemma_reduction_minus_one(e, k3, m) <= 0 for m in ms)
-        else:
-            ok = any(lemma_reduction_generic(e, k3, m) <= 0 for m in ms)
-        if ok:
+    for k3 in range(k3_bound(e, minus_one)):
+        if any(lhs(e, k3, m) <= 0 for m in range(0, k3 + 1, 3)):
             best = k3
     return best
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .braiding import BraidedSpace, cocycle_preset
-from .linalg import Echelon, axpy
+from .linalg import Echelon
 from .nichols import (
     GradedEngine,
     NicholsEngine,
@@ -103,10 +103,11 @@ class QuotientEngine(GradedEngine):
     def _place_relation(self, r, tail_deg, bidx, nb):
         """pi(r * basis[tail_deg][bidx]) in candidate coordinates of degree n."""
         out = {}
+        axpy, one = self.f.axpy, self.f.one
         for w, c in r.items():
             # w[1:] * b expanded in basis[n-1], then w[0] as the first letter
-            tail = self._word_times(w[1:], {bidx: self.f.one}, tail_deg)
-            axpy(self.f, out, {w[0] * nb + j: cj for j, cj in tail.items()}, c)
+            tail = self._word_times(w[1:], {bidx: one}, tail_deg)
+            axpy(out, {w[0] * nb + j: cj for j, cj in tail.items()}, c)
         return out
 
     def _reduce_block(self, n, grade, cands, vectors):

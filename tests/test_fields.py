@@ -2,12 +2,13 @@ import re
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from braidrack.fields import (
     GF,
     QQ,
+    Field,
     FieldError,
     NotAField,
     QuadraticRationalField,
@@ -193,3 +194,81 @@ def test_bad_modulus_raises_field_error():
     for spec in ["QQ[t]/(2*t^2+1)", "QQ[t]/(t^2+1/0)", "QQ[t]/(t^2+-1)", "Fp(3)[t]/(t^2+1/0)"]:
         with pytest.raises(FieldError):
             parse_field(spec)
+
+
+def test_field_identity_includes_the_representation():
+    fast = QuadraticRationalField(1, 1)
+    generic = QuotientRing(RationalField(), fast.modulus)
+    assert fast.spec_string() == generic.spec_string()
+    # integer triples and Fraction pairs are different scalars
+    assert fast != generic and generic != fast
+    assert len({fast, generic}) == 2
+    g = parse_field(fast.spec_string())
+    assert g == fast and hash(g) == hash(fast) and type(g) is QuadraticRationalField
+
+
+def _sparse(f, entries):
+    """key -> nonzero scalar from (key, coefficients) pairs; later keys win."""
+    out = {}
+    for k, coeffs in entries:
+        x = _element(f, coeffs)
+        if f.is_zero(x):
+            out.pop(k, None)
+        else:
+            out[k] = x
+    return out
+
+
+def _check_axpy(f, t, s, c, ref_factor):
+    ref = dict(t)
+    Field.axpy(f, ref, s, ref_factor)
+    got = dict(t)
+    f.axpy(got, s, c)
+    assert got == ref
+    assert not any(f.is_zero(v) for v in got.values())
+    return got
+
+
+_ENTRIES = st.lists(st.tuples(st.integers(0, 9), _COEFFS), max_size=8)
+_DEN3 = [(1, 3), (2, 3), (5, 6), (1, 1)]
+
+
+@settings(max_examples=500, deadline=None)
+@given(
+    st.sampled_from(ALL_KINDS), _ENTRIES, _ENTRIES, _COEFFS,
+    st.sets(st.integers(0, 9)), st.booleans(),
+)
+# QQ(zeta3) with denominators, cancelled on both shared keys
+@example("QQ[t]/(t^2+t+1)", [(0, _DEN3), (1, _DEN3[::-1])], [(1, _DEN3), (2, _DEN3)], _DEN3, {0, 1}, False)
+# a zero factor
+@example("QQ[t]/(t^2+t+1)", [(0, _DEN3)], [(0, _DEN3)], _DEN3, set(), True)
+# disjoint keys
+@example("Fp(7)", [(0, _DEN3)], [(1, _DEN3)], _DEN3, set(), False)
+def test_axpy_kernel_matches_the_generic_loop(spec, t_entries, s_entries, c_coeffs, cancel, zero_factor):
+    f = parse_field(spec)
+    t, s = _sparse(f, t_entries), _sparse(f, s_entries)
+    c = f.zero if zero_factor else _element(f, c_coeffs)
+    cancelled = set() if f.is_zero(c) else cancel & t.keys()
+    for k in cancelled:
+        # exact cancellation: s = -t / c on the key
+        s[k] = f.neg(f.div(t[k], c))
+    got = _check_axpy(f, t, s, c, c)
+    assert not cancelled & got.keys()
+    if f.is_zero(c):
+        assert got == t
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.sampled_from([2, 3, 7]),
+    st.dictionaries(st.integers(0, 9), st.integers(1, 6)),
+    st.dictionaries(st.integers(0, 9), st.integers(1, 6)),
+    st.integers(-20, 20),
+)
+def test_prime_field_axpy_reduces_the_factor_once(p, t, s, c):
+    f = GF(p)
+    t = {k: v % p for k, v in t.items() if v % p}
+    s = {k: v % p for k, v in s.items() if v % p}
+    # p and -1 are not canonical; the generic loop gets their residues
+    for factor in (c, p, -1, -p - 1):
+        _check_axpy(f, t, s, factor, f.from_int(factor))

@@ -21,6 +21,7 @@ from braidrack.nichols import (
     general_inequality_lhs,
     graded_dim_direct,
     graded_dims,
+    k3_bound,
     kernel_identity_terms,
     lemma_reduction_generic,
     lemma_reduction_minus_one,
@@ -215,6 +216,22 @@ def test_k3_bounds():
     assert max(max_k3(1, True), max_k3(1, False)) == 6
     for e in (2, 3, 4):
         assert max(max_k3(e, True), max_k3(e, False)) <= 3
+
+
+def test_max_k3_values():
+    # the values of the former scan over k3 <= 200
+    assert [max_k3(e, True) for e in range(1, 21)] == [6, 3, 3, 1, 1, 1] + [0] * 14
+    assert [max_k3(e, False) for e in range(1, 21)] == [3, 1] + [0] * 18
+
+
+@pytest.mark.parametrize("minus_one", [True, False])
+def test_lemma_reduction_is_positive_past_the_k3_bound(minus_one):
+    lhs = lemma_reduction_minus_one if minus_one else lemma_reduction_generic
+    for e in range(1, 21):
+        for k3 in range(k3_bound(e, minus_one), 201):
+            assert all(lhs(e, k3, m) > 0 for m in range(0, k3 + 1, 3)), (e, k3)
+    with pytest.raises(ValueError):
+        k3_bound(0, minus_one)
 
 
 def test_kernel_identity_is_equality_here():
