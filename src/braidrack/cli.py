@@ -252,12 +252,9 @@ def cmd_classify(args):
         inv = invariants(r)
         known = None
         for nm in preset_names():
-            try:
-                if is_isomorphic(r, preset(nm)):
-                    known = nm
-                    break
-            except Exception:
-                continue
+            if is_isomorphic(r, preset(nm)):
+                known = nm
+                break
         payload.append(
             {
                 "size": r.size,

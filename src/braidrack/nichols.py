@@ -1,22 +1,27 @@
 """Quantum symmetrizers, graded dimensions, cubic kernels and conditions.
 
 Elements of the degree-n tensor component are sparse dicts word -> scalar,
-a word being an n-tuple of rack elements.  The symmetrizer follows the
-recursion S_n = (id (x) S_{n-1}) o X_n with
-X_n = sum_{k=0}^{n-1} c_{12} c_{23} ... c_{k,k+1}; the skew-derivations
-d_x extract the first tensor leg of X_n, so u lies in ker S_n exactly when
-every d_x(u) lies in ker S_{n-1}.  That biconditional is what the fast
-graded-dimension engine is built on, and it is re-verified at runtime on
-small degrees by the structural tests.
+a word being an n-tuple of rack elements.  Every word operator is a term
+generator, word -> (word, scalar) pairs, summed over a vector by one
+accumulator.  The symmetrizer follows the recursion
+S_n = (id (x) S_{n-1}) o X_n with X_n = sum_{k=0}^{n-1} c_{12} c_{23} ...
+c_{k,k+1}, whose terms ``_x_terms`` alone computes; the skew-derivation d_x
+keeps the terms of X_n whose first letter is x, with that letter removed,
+so u lies in ker S_n exactly when every d_x(u) lies in ker S_{n-1}.  That
+biconditional is what the fast graded-dimension engine is built on, and it
+is re-verified at runtime on small degrees by the structural tests.
+``operator_matrix`` writes an operator on a block of words as a matrix and
+raises NotBlockDiagonal when an image leaves the block.
 """
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
 from . import hilbert
-from .hurwitz import orbits as hurwitz_orbits
-from .linalg import Echelon, SparseMatrix, rank
+from .hurwitz import orbits as hurwitz_orbits, sigma, sigma_inv
+from .linalg import Echelon, SparseMatrix, kernel_dim, rank
 from .percolate import minimal_plague_cached
 
 DIRECT_WORD_CAP = 3 * 10**5
@@ -36,70 +41,87 @@ class ImmunityBoundViolated(Exception):
     """A cubic-kernel block is larger than its orbit's immunity bound."""
 
 
-# ---------------------------------------------------------------------------
-# word-level operators
+class NotBlockDiagonal(Exception):
+    """An operator sent a word of a block to a word outside it."""
 
-def vec_add_into(f, acc, word, coeff):
-    cur = acc.get(word)
-    if cur is None:
-        acc[word] = coeff
-    else:
-        s = f.add(cur, coeff)
-        if f.is_zero(s):
-            del acc[word]
-        else:
-            acc[word] = s
+
+# ---------------------------------------------------------------------------
+# word-level operators: each is a term generator run through _apply
+
+def _apply(f, vec, terms):
+    """sum of c * terms(w) over the (w, c) of a sparse vector.
+
+    ``terms(w)`` yields (word, scalar) pairs; equal words add up, and a sum
+    that cancels is dropped.
+    """
+    out = {}
+    get, add, mul, is_zero, one = out.get, f.add, f.mul, f.is_zero, f.one
+    for w, c in vec.items():
+        for nw, coeff in terms(w):
+            # operator matrices apply operators to {w: one}: skip that product
+            if c is not one:
+                coeff = mul(c, coeff)
+            cur = get(nw)
+            if cur is None:
+                out[nw] = coeff
+            else:
+                s = add(cur, coeff)
+                if is_zero(s):
+                    del out[nw]
+                else:
+                    out[nw] = s
+    return out
 
 
 def braid_map(b, i, vec):
     """c_{i,i+1} on a sparse vector of n-letter words (1 <= i <= n-1)."""
-    f = b.field
-    q = b.cocycle.q
-    t = b.rack.table
-    out = {}
-    for w, c in vec.items():
-        x, y = w[i - 1], w[i]
-        nw = w[: i - 1] + (t[x][y], x) + w[i + 1 :]
-        vec_add_into(f, out, nw, f.mul(c, q[x][y]))
-    return out
+    r, q = b.rack, b.cocycle.q
+    return _apply(b.field, vec, lambda w: ((sigma(r, i, w), q[w[i - 1]][w[i]]),))
 
 
 def braid_map_inv(b, i, vec):
-    f = b.field
-    q = b.cocycle.q
-    out = {}
-    for w, c in vec.items():
-        a, bb = w[i - 1], w[i]
-        y = b.rack.phi_inv(bb)[a]
-        nw = w[: i - 1] + (bb, y) + w[i + 1 :]
-        vec_add_into(f, out, nw, f.div(c, q[bb][y]))
-    return out
+    f, r, q = b.field, b.rack, b.cocycle.q
+
+    def terms(w):
+        nw = sigma_inv(r, i, w)
+        yield nw, f.inv(q[nw[i - 1]][nw[i]])
+
+    return _apply(f, vec, terms)
 
 
-def _x_terms(b, word, off, k):
-    """Terms of X_k applied to slots off..off+k-1 of a word."""
-    f = b.field
+def _x_terms(b, letters):
+    """The terms of X_k on a k-letter word, as (z, tt, coeff).
+
+    Term tt moves letter tt to the front: it is coeff times the word
+    (z,) + letters without letter tt, where
+    z = l_0 |> (l_1 |> ... (l_{tt-1} |> l_tt)) and coeff is the product of
+    the q factors met on the way.
+    """
     q = b.cocycle.q
     t = b.rack.table
-    letters = word[off : off + k]
-    yield word, f.one
-    for tt in range(1, k):
-        z = letters[tt]
-        coeff = f.one
-        for i in range(tt - 1, -1, -1):
-            coeff = f.mul(coeff, q[letters[i]][z])
-            z = t[letters[i]][z]
-        nw = word[:off] + (z,) + letters[:tt] + letters[tt + 1 :] + word[off + k :]
-        yield nw, coeff
+    one, mul = b.field.one, b.field.mul
+    for tt, z in enumerate(letters):
+        coeff = one
+        if tt:
+            # start at the first q factor: a product with one would be wasted
+            y = letters[tt - 1]
+            coeff = q[y][z]
+            z = t[y][z]
+            for y in reversed(letters[: tt - 1]):
+                coeff = mul(coeff, q[y][z])
+                z = t[y][z]
+        yield z, tt, coeff
 
 
 def apply_x(b, vec, off, k):
-    f = b.field
-    out = {}
-    for w, c in vec.items():
-        for nw, coeff in _x_terms(b, w, off, k):
-            vec_add_into(f, out, nw, f.mul(c, coeff))
-    return out
+    """X_k on slots off..off+k-1 of every word."""
+
+    def terms(w):
+        head, letters, tail = w[:off], w[off : off + k], w[off + k :]
+        for z, tt, coeff in _x_terms(b, letters):
+            yield head + (z,) + letters[:tt] + letters[tt + 1 :] + tail, coeff
+
+    return _apply(b.field, vec, terms)
 
 
 def x3_apply(b, vec):
@@ -117,26 +139,17 @@ def symmetrizer_apply(b, n, vec):
 def derive(b, x, vec):
     """The degree-lowering skew-derivation d_x on free words.
 
-    d_x(y w) = delta_{x,y} w + q[y][phi_y^{-1}(x)] * y d_{phi_y^{-1}(x)}(w);
-    equivalently d_x picks the v_x-leg coefficient of X_n.
+    d_x picks the v_x-leg coefficient of X_n: the terms of X_n whose first
+    letter is x, with that letter removed.  Equivalently
+    d_x(y w) = delta_{x,y} w + q[y][phi_y^{-1}(x)] * y d_{phi_y^{-1}(x)}(w).
     """
-    f = b.field
-    q = b.cocycle.q
-    t = b.rack.table
-    out = {}
-    for w, c in vec.items():
-        n = len(w)
-        for tt in range(n):
-            # term removing position tt: z = w_1 |> (w_2 |> ... (w_tt |> w_{tt+1}))
-            z = w[tt]
-            coeff = c
-            for i in range(tt - 1, -1, -1):
-                coeff = f.mul(coeff, q[w[i]][z])
-                z = t[w[i]][z]
+
+    def terms(w):
+        for z, tt, coeff in _x_terms(b, w):
             if z == x:
-                rest = w[:tt] + w[tt + 1 :]
-                vec_add_into(f, out, rest, coeff)
-    return out
+                yield w[:tt] + w[tt + 1 :], coeff
+
+    return _apply(b.field, vec, terms)
 
 
 def derive_chain(b, letters, vec):
@@ -144,6 +157,23 @@ def derive_chain(b, letters, vec):
     for x in reversed(letters):
         vec = derive(b, x, vec)
     return vec
+
+
+def operator_matrix(f, words, op):
+    """The matrix whose column j is op(words[j]) in ``words`` coordinates.
+
+    ``op`` maps a word to a sparse vector; an image word outside ``words``
+    raises NotBlockDiagonal.
+    """
+    index = {w: i for i, w in enumerate(words)}
+    m = SparseMatrix(len(words), len(words))
+    for j, w in enumerate(words):
+        for nw, c in op(w).items():
+            i = index.get(nw)
+            if i is None:
+                raise NotBlockDiagonal("the image of %r has %r, outside the block" % (w, nw))
+            m.rows[i][j] = c
+    return m
 
 
 # ---------------------------------------------------------------------------
@@ -169,16 +199,6 @@ class _Grading:
         d = b.dim
         self.unit = (tuple(range(d)), (self.f.one,) * d)
 
-    def mul(self, m, x):
-        """grade(m) * M_x (append letter x on the right)."""
-        p1, s1 = m
-        p2, s2 = self.mats[x]
-        f = self.f
-        return (
-            tuple(p1[p2[y]] for y in range(len(p2))),
-            tuple(f.mul(s1[p2[y]], s2[y]) for y in range(len(p2))),
-        )
-
     def lmul(self, x, m):
         """M_x * grade(m) (prepend letter x on the left)."""
         p1, s1 = self.mats[x]
@@ -191,8 +211,8 @@ class _Grading:
 
     def of_word(self, word):
         m = self.unit
-        for x in word:
-            m = self.mul(m, x)
+        for x in reversed(word):
+            m = self.lmul(x, m)
         return m
 
 
@@ -208,14 +228,8 @@ def graded_dim_direct(b, n):
     f = b.field
     total = 0
     for o in hurwitz_orbits(b.rack, n, cap=DIRECT_WORD_CAP):
-        index = o.index
-        m = SparseMatrix(o.size, o.size)
-        for j, w in enumerate(o.tuples):
-            img = symmetrizer_apply(b, n, {w: f.one})
-            for nw, c in img.items():
-                # index[nw] raises if S_n ever left the orbit block, so the
-                # block-diagonality of the symmetrizer is asserted for free
-                m.rows[index[nw]][j] = c
+        # NotBlockDiagonal if S_n ever left the orbit block
+        m = operator_matrix(f, o.tuples, lambda w: symmetrizer_apply(b, n, {w: f.one}))
         total += rank(f, m)
     return total
 
@@ -426,11 +440,7 @@ def cubic_kernel(b):
     blocks = []
     total = 0
     for o in hurwitz_orbits(b.rack, 3):
-        index = o.index
-        m = SparseMatrix(o.size, o.size)
-        for j, w in enumerate(o.tuples):
-            for nw, c in _x_terms(b, w, 0, 3):
-                vec_add_into(f, m.rows[index[nw]], j, c)
+        m = operator_matrix(f, o.tuples, lambda w: x3_apply(b, {w: f.one}))
         dim = o.size - rank(f, m)
         if o.size <= BOUND_ORBIT_CAP:
             imm = minimal_plague_cached(o).immunity
@@ -523,19 +533,14 @@ def closed_form_kernel_8orbit_bound(e, q, field):
 
 def one_orbit_operator_matrix(field, e, q):
     """1 + c12 + c12 c23 on (V_x)^{(x)3} with dim V_x = e, x acting by q."""
-    idx = {}
-    words = []
-    for i in range(e):
-        for j in range(e):
-            for k in range(e):
-                idx[(i, j, k)] = len(words)
-                words.append((i, j, k))
     q2 = field.mul(q, q)
-    m = SparseMatrix(len(words), len(words))
-    for col, (i, j, k) in enumerate(words):
-        for w, c in (((i, j, k), field.one), ((j, i, k), q), ((k, i, j), q2)):
-            vec_add_into(field, m.rows[idx[w]], col, c)
-    return m
+
+    def terms(w):
+        i, j, k = w
+        return ((w, field.one), ((j, i, k), q), ((k, i, j), q2))
+
+    words = list(itertools.product(range(e), repeat=3))
+    return operator_matrix(field, words, lambda w: _apply(field, {w: field.one}, terms))
 
 
 def general_inequality_lhs(d, e, k3, m, d1, d8):
@@ -598,25 +603,10 @@ def kernel_identity_terms(b):
     dim ker S3 <= dim V dim ker(1+c) + dim ker X3."""
     f = b.field
     d = b.dim
-    words2 = [(x, y) for x in range(d) for y in range(d)]
-    idx2 = {w: i for i, w in enumerate(words2)}
-    m2 = SparseMatrix(len(words2), len(words2))
-    for col, w in enumerate(words2):
-        img = apply_x(b, {w: f.one}, 0, 2)
-        for nw, c in img.items():
-            m2.rows[idx2[nw]][col] = c
-    ker_1c = len(words2) - rank(f, m2)
-
-    words3 = [(x, y, z) for x in range(d) for y in range(d) for z in range(d)]
-    idx3 = {w: i for i, w in enumerate(words3)}
-    mx = SparseMatrix(len(words3), len(words3))
-    ms = SparseMatrix(len(words3), len(words3))
-    for col, w in enumerate(words3):
-        for nw, c in x3_apply(b, {w: f.one}).items():
-            mx.rows[idx3[nw]][col] = c
-        for nw, c in symmetrizer_apply(b, 3, {w: f.one}).items():
-            if not f.is_zero(c):
-                ms.rows[idx3[nw]][col] = c
-    ker_x3 = len(words3) - rank(f, mx)
-    ker_s3 = len(words3) - rank(f, ms)
+    words2 = list(itertools.product(range(d), repeat=2))
+    words3 = list(itertools.product(range(d), repeat=3))
+    ker_1c = kernel_dim(f, operator_matrix(f, words2, lambda w: apply_x(b, {w: f.one}, 0, 2)))
+    ker_x3 = kernel_dim(f, operator_matrix(f, words3, lambda w: x3_apply(b, {w: f.one})))
+    ker_s3 = kernel_dim(f, operator_matrix(
+        f, words3, lambda w: symmetrizer_apply(b, 3, {w: f.one})))
     return ker_s3, d * ker_1c, ker_x3

@@ -219,18 +219,17 @@ def minimal_plague_cached(o):
     return replace(res, witness=witness, seeds_closed=1)
 
 
-def immunity_table(r, certify_each=False):
+def immunity_table(r):
     """Map orbit size -> PlagueResult over all 3-orbits of a braided rack.
 
     One exact search per isomorphism class; orbits of equal size are checked
     to be isomorphic (they share a canonical code), so a same-size orbit
     with a different minimal plague size would surface as a second class and
-    raises ImmunityMismatch.  ``certify_each`` forces an independent search
-    on every orbit instead.
+    raises ImmunityMismatch.
     """
     table = {}
     for o in orbits(r, 3):
-        res = minimal_plague(o) if certify_each else minimal_plague_cached(o)
+        res = minimal_plague_cached(o)
         prev = table.get(o.size)
         if prev is not None and prev.min_size != res.min_size:
             raise ImmunityMismatch(

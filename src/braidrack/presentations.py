@@ -12,12 +12,7 @@ from dataclasses import dataclass
 
 from .braiding import BraidedSpace, cocycle_preset
 from .linalg import Echelon
-from .nichols import (
-    GradedEngine,
-    NicholsEngine,
-    NotHomogeneous,
-    symmetrizer_apply,
-)
+from .nichols import GradedEngine, NicholsEngine, NotHomogeneous
 
 
 @dataclass
@@ -32,28 +27,14 @@ class Presentation:
                 raise NotHomogeneous("every relation must be homogeneous")
 
 
-def relation_in_kernel(p, engine=None, method="nf"):
+def relation_in_kernel(p, engine=None):
     """For each relation r of degree n, whether S_n(r) = 0.
 
-    method "nf": reduce r in the differential engine (its normal form is 0
-    exactly when r is in the symmetrizer kernel).  method "direct": apply
-    S_n literally and test for the zero vector.
+    r is reduced in the differential engine: its normal form is 0 exactly
+    when r is in the symmetrizer kernel.
     """
-    results = []
-    if method == "nf":
-        eng = engine or NicholsEngine(p.space)
-        for r in p.relations:
-            n = len(next(iter(r)))
-            results.append(not eng.nf_vector(r, n))
-    elif method == "direct":
-        f = p.space.field
-        for r in p.relations:
-            n = len(next(iter(r)))
-            img = symmetrizer_apply(p.space, n, r)
-            results.append(all(f.is_zero(c) for c in img.values()))
-    else:
-        raise ValueError("unknown method %r" % method)
-    return results
+    eng = engine or NicholsEngine(p.space)
+    return [not eng.nf_vector(r, len(next(iter(r)))) for r in p.relations]
 
 
 class QuotientEngine(GradedEngine):

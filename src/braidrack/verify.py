@@ -27,7 +27,7 @@ from .braiding import (
 )
 from .fields import QQ, parse_field
 from .hurwitz import REFERENCE_SIZES, census, orbits, reference_orbit
-from .linalg import SparseMatrix, kernel_basis, kernel_dim
+from .linalg import kernel_basis, kernel_dim
 from .racks import is_isomorphic, preset
 from . import perms
 
@@ -493,19 +493,15 @@ def _random_unit(f, rng):
 def _block_diagonality(b, n):
     """S_n and X_3 keep every Hurwitz-orbit block inside itself."""
     f = b.field
-    for o in orbits(b.rack, n):
-        members = set(o.tuples)
-        for w in o.tuples:
-            img = nichols.symmetrizer_apply(b, n, {w: f.one})
-            if any(nw not in members for nw in img):
-                return False
-    if n >= 3:
-        for o in orbits(b.rack, 3):
-            members = set(o.tuples)
-            for w in o.tuples:
-                img = nichols.x3_apply(b, {w: f.one})
-                if any(nw not in members for nw in img):
-                    return False
+    try:
+        for o in orbits(b.rack, n):
+            nichols.operator_matrix(f, o.tuples,
+                                    lambda w: nichols.symmetrizer_apply(b, n, {w: f.one}))
+        if n >= 3:
+            for o in orbits(b.rack, 3):
+                nichols.operator_matrix(f, o.tuples, lambda w: nichols.x3_apply(b, {w: f.one}))
+    except nichols.NotBlockDiagonal:
+        return False
     return True
 
 
@@ -520,12 +516,8 @@ def _derivation_biconditional(b, max_deg, rng):
     d = b.dim
     for n in range(2, max_deg + 1):
         words = list(itertools.product(range(d), repeat=n))
-        idx = {w: i for i, w in enumerate(words)}
-        m = SparseMatrix(len(words), len(words))
-        for j, w in enumerate(words):
-            for nw, c in nichols.symmetrizer_apply(b, n, {w: f.one}).items():
-                if not f.is_zero(c):
-                    m.rows[idx[nw]][j] = c
+        m = nichols.operator_matrix(f, words,
+                                    lambda w: nichols.symmetrizer_apply(b, n, {w: f.one}))
         for kv in kernel_basis(f, m):
             u = {words[j]: c for j, c in kv.items()}
             for x in range(d):

@@ -169,6 +169,22 @@ def test_classify_command(capsys):
     assert data[0]["isomorphic_to"] == "T"
 
 
+def test_classify_isomorphism_fault_is_an_error(capsys, monkeypatch):
+    # a fault in the preset lookup must not read as "isomorphic to nothing"
+    from braidrack import cli
+
+    def broken(r1, r2, witness=False):
+        raise RuntimeError("broken isomorphism test")
+
+    monkeypatch.setattr(cli, "is_isomorphic", broken)
+    code = main(["--format", "json", "classify", "--degree", "3", "--k3-max", "6",
+                 "--size-max", "9"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert "error:" in captured.err
+    assert "broken isomorphism test" in captured.err
+
+
 def test_error_exit_code(capsys):
     code = main(["rack", "info", "not-a-preset"])
     assert code == 2

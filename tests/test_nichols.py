@@ -3,13 +3,17 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from braidrack.braiding import BraidedSpace, cocycle_preset, constant_cocycle, transposition_model
 from braidrack.fields import QQ, parse_field
 from braidrack.hilbert import expand_product
+from braidrack.hurwitz import orbits as hurwitz_orbits
 from braidrack.linalg import kernel_dim
 from braidrack.nichols import (
     NicholsEngine,
+    NotBlockDiagonal,
     braid_map,
     braid_map_inv,
     check_conditions,
@@ -27,6 +31,7 @@ from braidrack.nichols import (
     lemma_reduction_minus_one,
     max_k3,
     one_orbit_operator_matrix,
+    operator_matrix,
     symmetrizer_apply,
     x3_apply,
 )
@@ -245,6 +250,66 @@ def test_derive_basic():
     b = minus1("D3")
     assert derive(b, 0, {(0,): QQ.one}) == {(): QQ.one}
     assert derive(b, 1, {(0,): QQ.one}) == {}
+    assert derive(b, 0, {(): QQ.one}) == {}
+
+
+def _derive_reference(b, x, w):
+    """d_x(y w) = delta_{x,y} w + q[y][phi_y^{-1}(x)] y d_{phi_y^{-1}(x)}(w), d_x(()) = 0."""
+    f = b.field
+    if not w:
+        return {}
+    y, rest = w[0], w[1:]
+    x1 = b.rack.phi_inv(y)[x]
+    out = {(y,) + u: f.mul(b.cocycle.q[y][x1], c)
+           for u, c in _derive_reference(b, x1, rest).items()}
+    if y == x:
+        out[rest] = f.add(out.get(rest, f.zero), f.one)
+    return out
+
+
+DERIVE_SPACES = {
+    "t-new": cocycle_preset("t-new"),
+    "d3char2": cocycle_preset("d3char2"),
+    "minus1(T)": minus1("T"),
+}
+
+
+@st.composite
+def _space_vector(draw):
+    b = DERIVE_SPACES[draw(st.sampled_from(sorted(DERIVE_SPACES)))]
+    f = b.field
+    n = draw(st.integers(1, 5))
+    vec = {}
+    for _ in range(draw(st.integers(1, 6))):
+        w = tuple(draw(st.lists(st.integers(0, b.dim - 1), min_size=n, max_size=n)))
+        c = f.from_int(draw(st.integers(-3, 3)))
+        if hasattr(f, "gen"):
+            c = f.add(c, f.mul(f.from_int(draw(st.integers(-3, 3))), f.gen))
+        if not f.is_zero(c):
+            vec[w] = c
+    return b, vec, draw(st.integers(0, b.dim - 1))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_space_vector())
+def test_derive_matches_the_recursion(case):
+    b, vec, x = case
+    f = b.field
+    want = {}
+    for w, c in vec.items():
+        for u, cu in _derive_reference(b, x, w).items():
+            want[u] = f.add(want.get(u, f.zero), f.mul(c, cu))
+    assert derive(b, x, vec) == {u: c for u, c in want.items() if not f.is_zero(c)}
+
+
+def test_operator_matrix_off_block_raises():
+    b = minus1("D3")
+    o = next(o for o in hurwitz_orbits(b.rack, 3) if o.size == 8)
+    half = o.tuples[: o.size // 2]
+    with pytest.raises(NotBlockDiagonal):
+        operator_matrix(b.field, half, lambda w: x3_apply(b, {w: b.field.one}))
+    # the whole orbit is a block
+    assert operator_matrix(b.field, o.tuples, lambda w: x3_apply(b, {w: b.field.one})).nrows == 8
 
 
 def test_squares_in_kernel_at_minus1():

@@ -218,8 +218,12 @@ def test_immunity_tables(name):
 
 
 def test_immunity_table_certify_each_agrees():
-    table = immunity_table(preset("T"), certify_each=True)
-    assert {s: r.min_size for s, r in table.items()} == {1: 1, 8: 3, 12: 4}
+    # an independent search on every 3-orbit agrees with the cached table
+    r = preset("T")
+    table = immunity_table(r)
+    for o in orbits(r, 3):
+        assert minimal_plague(o).min_size == table[o.size].min_size
+    assert {s: res.min_size for s, res in table.items()} == {1: 1, 8: 3, 12: 4}
 
 
 @settings(max_examples=30, deadline=None)
