@@ -174,11 +174,11 @@ def cmd_nichols_dims(args):
 def cmd_nichols_cubic(args):
     b = _load_space(args.rack, args.cocycle, args.field)
     rep = nichols.check_conditions(b, max(3, args.max_degree))
-    ck_blocks = nichols.cubic_kernel(b)
+    ck = rep.cubic
     payload = {
         "field": b.field.spec_string(),
-        "kernel_total": ck_blocks.total,
-        "threshold": str(ck_blocks.many_cubic_threshold()),
+        "kernel_total": ck.total,
+        "threshold": str(ck.many_cubic_threshold()),
         "cond1_truncated": rep.cond1_truncated,
         "factorizations": [hilbert.format_factorization(f) for f in rep.factorizations],
         "cond2": rep.cond2,
@@ -191,7 +191,7 @@ def cmd_nichols_cubic(args):
                 "immunity_bound": str(blk.immunity_bound),
                 "optimal": blk.optimal,
             }
-            for blk in ck_blocks.blocks
+            for blk in ck.blocks
         ],
     }
     _emit(payload, args.format)
@@ -210,12 +210,8 @@ def cmd_nichols_quotient(args):
 
 
 def _load_relations(arg, field):
-    if arg in ("d3char2", "t-new"):
-        builders = {
-            "d3char2": presentations.d3_char2_relations,
-            "t-new": presentations.t_new_relations,
-        }
-        return builders[arg](field)
+    if arg in presentations.RELATION_PRESETS:
+        return presentations.RELATION_PRESETS[arg].relations(field)
     with open(arg) as fh:
         data = json.load(fh)
     rels = []
@@ -273,13 +269,13 @@ def cmd_classify(args):
 
 def cmd_verify_paper(args):
     t0 = time.perf_counter()
-    report = verify.verify_paper(profile=args.profile, threads=args.threads)
+    report = verify.verify_paper(profile=args.profile)
     payload = report.to_payload()
     if args.format == "json":
         print(json.dumps(payload, indent=2, default=str))
     else:
         for e in report.entries:
-            status = "ok" if e.match else "MISMATCH"
+            status = "ERROR" if e.provenance == "error" else "ok" if e.match else "MISMATCH"
             line = "[%s] %s / %s (%s, %d ms)" % (status, e.section, e.name, e.provenance, e.runtime_ms)
             if not e.match:
                 line += "  expected=%r computed=%r" % (e.expected, e.computed)
@@ -288,6 +284,8 @@ def cmd_verify_paper(args):
             "%d checks, %d mismatches, %.1f s"
             % (len(report.entries), len(report.failures()), time.perf_counter() - t0)
         )
+    if report.errors():
+        return EXIT_ERROR
     return EXIT_OK if report.ok() else EXIT_MISMATCH
 
 
@@ -299,9 +297,6 @@ def build_parser():
     )
     common.add_argument("--field", default=argparse.SUPPRESS,
                         help="field spec, e.g. QQ or Fp(2)[t]/(t^2+t+1)")
-    common.add_argument("--threads", type=int, default=argparse.SUPPRESS,
-                        help="threads running verify-paper's sections "
-                        "(default: THREADS env or 1, serial)")
 
     ap = argparse.ArgumentParser(
         prog="braidrack",
@@ -354,7 +349,7 @@ def build_parser():
     p.add_argument("--max-degree", type=int, default=10)
     p.set_defaults(func=cmd_nichols_quotient)
     p = ni.add_parser("integral", parents=[common])
-    p.add_argument("--preset", choices=("d3char2", "t-new"), required=True)
+    p.add_argument("--preset", choices=tuple(presentations.RELATION_PRESETS), required=True)
     p.set_defaults(func=cmd_nichols_integral)
 
     p = sub.add_parser("classify", parents=[common])
@@ -376,10 +371,6 @@ def main(argv=None):
     # survives subparsing; fill the true defaults here
     args.format = getattr(args, "format", "table")
     args.field = getattr(args, "field", None)
-    args.threads = getattr(args, "threads", None)
-    if args.threads is None:
-        env = os.environ.get("THREADS")
-        args.threads = int(env) if env else 1
     try:
         return args.func(args)
     except BrokenPipeError:

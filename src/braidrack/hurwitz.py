@@ -155,11 +155,17 @@ def census(r, n=3, cap=DEFAULT_ORBIT_CAP):
     return result
 
 
+class SymmetryCheckFailed(RuntimeError):
+    """A map between orbits fails its check: it is no isomorphism of the
+    sigma-labelled orbit graphs, or it does not carry a plague to a plague."""
+
+
 def orbit_isomorphic(o1, o2, witness=False):
     """Edge-label-preserving digraph isomorphism of the two orbit graphs.
 
     Two orbits are compared by canonical BFS codes; the witness (a mapping
-    index(o1) -> index(o2)) is produced by matching canonical traversals.
+    index(o1) -> index(o2)) is produced by matching canonical traversals
+    and checked against every edge.
     """
     if o1.arity != o2.arity or o1.size != o2.size:
         return None if witness else False
@@ -169,10 +175,23 @@ def orbit_isomorphic(o1, o2, witness=False):
         return None if witness else False
     if not witness:
         return True
-    mapping = [0] * o1.size
+    return order_isomorphism(o1, order1, o2, order2)
+
+
+def order_isomorphism(o1, order1, o2, order2):
+    """The map phi (index of o1 -> index of o2) sending the i-th vertex of
+    order1 to the i-th of order2, checked to carry every sigma edge and
+    inverse edge of o1 onto the same-labelled edge of o2."""
+    phi = [0] * o1.size
     for a, b in zip(order1, order2):
-        mapping[a] = b
-    return tuple(mapping)
+        phi[a] = b
+    gens1 = list(o1.edges) + list(o1.inv_edges)
+    gens2 = list(o2.edges) + list(o2.inv_edges)
+    if sorted(phi) != list(range(o2.size)) or any(
+        phi[g1[x]] != g2[phi[x]] for g1, g2 in zip(gens1, gens2) for x in range(o1.size)
+    ):
+        raise SymmetryCheckFailed("map is not an isomorphism of the sigma-labelled orbit graphs")
+    return tuple(phi)
 
 
 def canonical_code(o):

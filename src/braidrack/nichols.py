@@ -469,8 +469,7 @@ class ConditionsReport:
     factorizations: list
     cond2: bool
     cond3: bool
-    cubic_total: int
-    threshold: Fraction
+    cubic: CubicKernelReport
 
     def all_true(self):
         return self.cond1_truncated and self.cond2 and self.cond3
@@ -489,8 +488,6 @@ def check_conditions(b, hilbert_degree=4):
     dims = graded_dims(b, hilbert_degree)
     ck = cubic_kernel(b)
     dv = b.dim
-    threshold = Fraction(dv * (dv * dv - 1), 3)
-    cond3 = Fraction(ck.total) >= threshold
     cond2 = Fraction(dims[3]) <= dv * (Fraction(dims[2]) - Fraction(dv * dv - 1, 3))
     facts = hilbert.factorizations(dims, hilbert_degree)
     return ConditionsReport(
@@ -498,9 +495,8 @@ def check_conditions(b, hilbert_degree=4):
         cond1_truncated=bool(facts),
         factorizations=facts,
         cond2=cond2,
-        cond3=cond3,
-        cubic_total=ck.total,
-        threshold=threshold,
+        cond3=ck.has_many_cubic_relations(),
+        cubic=ck,
     )
 
 

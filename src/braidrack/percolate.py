@@ -11,7 +11,14 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
-from .hurwitz import _canonical_code, orbits, rooted_codes, sigma
+from .hurwitz import (
+    SymmetryCheckFailed,
+    _canonical_code,
+    orbits,
+    order_isomorphism,
+    rooted_codes,
+    sigma,
+)
 
 
 class EmptySeed(Exception):
@@ -88,31 +95,8 @@ class PlagueResult:
     seeds_closed: int = field(default=0, compare=False)  # closures this call computed
 
 
-class SymmetryCheckFailed(RuntimeError):
-    """A map the plague search relies on is not an orbit-graph isomorphism."""
-
-
 def is_plague(o, seed):
     return len(quarantine_closure(o, seed)) == o.size
-
-
-def _check_isomorphism(o1, o2, phi):
-    """Raise unless phi (index of o1 -> index of o2) carries every sigma edge
-    and inverse edge of o1 onto the same-labelled edge of o2."""
-    gens1 = list(o1.edges) + list(o1.inv_edges)
-    gens2 = list(o2.edges) + list(o2.inv_edges)
-    if sorted(phi) != list(range(o2.size)) or any(
-        phi[g1[x]] != g2[phi[x]] for g1, g2 in zip(gens1, gens2) for x in range(o1.size)
-    ):
-        raise SymmetryCheckFailed("map is not an isomorphism of the sigma-labelled orbit graphs")
-
-
-def _order_map(order1, order2):
-    """The map sending the i-th vertex of order1 to the i-th of order2."""
-    phi = [0] * len(order1)
-    for a, b in zip(order1, order2):
-        phi[a] = b
-    return tuple(phi)
 
 
 def automorphism_classes(o):
@@ -127,9 +111,7 @@ def automorphism_classes(o):
     first = {}
     for v, (code, order) in enumerate(rooted_codes(o)):
         m, order_m = first.setdefault(code, (v, order))
-        phi = _order_map(order_m, order)
-        _check_isomorphism(o, o, phi)
-        classes.setdefault(m, {})[v] = phi
+        classes.setdefault(m, {})[v] = order_isomorphism(o, order_m, o, order)
     return classes
 
 
@@ -211,8 +193,7 @@ def minimal_plague_cached(o):
         _BY_CODE_CACHE[code] = (o, order, res)
         return res
     first, first_order, res = hit
-    phi = _order_map(first_order, order)
-    _check_isomorphism(first, o, phi)
+    phi = order_isomorphism(first, first_order, o, order)
     witness = tuple(sorted(phi[i] for i in res.witness))
     if not is_plague(o, witness):
         raise SymmetryCheckFailed("mapped witness is not a plague of the orbit")

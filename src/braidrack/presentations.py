@@ -8,6 +8,7 @@ covers the whole ideal component.
 """
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass
 
 from .braiding import BraidedSpace, cocycle_preset
@@ -179,20 +180,24 @@ def t_new_relations(field):
     return rels
 
 
-D3_CHAR2_INTEGRAL = "aabaabaabbaabbaabbcc"
-D3_CHAR2_CHAIN = "bbaaccaaccbbcbcbcbcc"
-T_NEW_INTEGRAL = "aabaabaabbaacbbaacbbaadd"
-T_NEW_CHAIN = "ccdccdccddccbbddbaddaabb"
+# keyed by the cocycle preset the relations live on: the function giving the
+# relations over a field, a word spanning the quotient's top degree, and the
+# derivation letters that take that word down to degree 0
+RelationPreset = namedtuple("RelationPreset", "relations integral chain")
+RELATION_PRESETS = {
+    "d3char2": RelationPreset(
+        d3_char2_relations, "aabaabaabbaabbaabbcc", "bbaaccaaccbbcbcbcbcc"
+    ),
+    "t-new": RelationPreset(
+        t_new_relations, "aabaabaabbaacbbaacbbaadd", "ccdccdccddccbbddbaddaabb"
+    ),
+}
 
 
 def integral_preset(name):
     """(braided space, relations, integral word, derivation chain letters)."""
-    if name == "d3char2":
-        space = cocycle_preset("d3char2")
-        rels = d3_char2_relations(space.field)
-        return space, rels, _words(D3_CHAR2_INTEGRAL), _words(D3_CHAR2_CHAIN)
-    if name == "t-new":
-        space = cocycle_preset("t-new")
-        rels = t_new_relations(space.field)
-        return space, rels, _words(T_NEW_INTEGRAL), _words(T_NEW_CHAIN)
-    raise KeyError("unknown integral preset %r" % name)
+    if name not in RELATION_PRESETS:
+        raise KeyError("unknown integral preset %r" % name)
+    relations, integral, chain = RELATION_PRESETS[name]
+    space = cocycle_preset(name)
+    return space, relations(space.field), _words(integral), _words(chain)

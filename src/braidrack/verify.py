@@ -36,7 +36,7 @@ from . import perms
 class Entry:
     section: str
     name: str
-    provenance: str     # reference-table | closed-form | enumeration
+    provenance: str     # reference-table | closed-form | enumeration | error
     expected: object
     computed: object
     match: bool
@@ -49,7 +49,9 @@ class Report:
 
     A check adds each entry right after the work that computed it, so an
     entry's runtime_ms is that work's own time, and the entries' times add
-    up to no more than the time since the report was created.
+    up to no more than the time since the report was created.  ``run``
+    restarts the timer at a section's start, so a section's first entry
+    is not charged for the work between sections.
     """
 
     profile: str
@@ -65,11 +67,29 @@ class Report:
             Entry(section, name, provenance, expected, computed, expected == computed, ms)
         )
 
+    def run(self, check, *args):
+        """Run the section check(self, *args).  If it raises, one error
+        entry, "<ExcType>: <message>", stands in for the rest of it, and
+        the traceback goes to stderr."""
+        self._mark = time.perf_counter()
+        try:
+            check(self, *args)
+        except Exception as exc:
+            # imported here: a run in which no section fails never loads it
+            import traceback
+
+            traceback.print_exc()
+            label = check.__name__ + (repr(args) if args else "")
+            self.add(label, "error", "error", None, "%s: %s" % (type(exc).__name__, exc))
+
     def ok(self):
         return all(e.match for e in self.entries)
 
     def failures(self):
         return [e for e in self.entries if not e.match]
+
+    def errors(self):
+        return [e for e in self.entries if e.provenance == "error"]
 
     def to_payload(self):
         return {
@@ -543,11 +563,19 @@ def _derivation_biconditional(b, max_deg, rng):
 def verify_paper(profile="quick", threads=None):
     """Recompute the reference data end to end.  Returns a Report.
 
-    Sections are independent pure computations; with threads > 1 they run
-    on a thread pool.  The merged report is assembled in the fixed section
-    order either way, so output is deterministic.
+    The sections run one after another on one report, in a fixed order; a
+    section that raises becomes an error entry and the rest still run.
+    ``threads`` is kept only for perfbench/workloads.py, which passes
+    threads=1; it accepts None or 1.
     """
-    sections = [
+    if profile not in ("quick", "full"):
+        raise ValueError("unknown profile %r (quick or full)" % (profile,))
+    if threads not in (None, 1):
+        raise ValueError("verify_paper runs serially; threads must be None or 1")
+    # the checks are looked up here, at call time, so that a rebound
+    # module attribute (a test's monkeypatch, a tracer) is the one that runs
+    report = Report(profile=profile)
+    for check in (
         check_census,
         check_immunity,
         check_one_orbit_kernels,
@@ -557,34 +585,11 @@ def verify_paper(profile="quick", threads=None):
         check_classification,
         check_inequality,
         check_truncations,
-    ]
+    ):
+        report.run(check)
     if profile == "full":
-        sections += [
-            lambda r: check_new_example(r, "d3char2", "D3-char2", 432, 20, "nonzero"),
-            lambda r: check_new_example(r, "t-new", "T-new", 5184, 24, "t+1"),
-            check_t_series,
-            check_structural,
-        ]
-    if threads and threads > 1:
-        # imported here, not at the top: concurrent.futures brings logging
-        # and queue with it, about 0.3 MB in every process that imports
-        # braidrack, serial runs included
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            futures = [pool.submit(_run_section, fn, profile) for fn in sections]
-            reports = [fut.result() for fut in futures]
-    else:
-        reports = [_run_section(fn, profile) for fn in sections]
-    merged = Report(profile=profile)
-    for rp in reports:
-        merged.entries.extend(rp.entries)
-    return merged
-
-
-def _run_section(fn, profile):
-    """Run one section on a report created as it starts, so that its first
-    entry is timed from the section's own start."""
-    report = Report(profile=profile)
-    fn(report)
+        report.run(check_new_example, "d3char2", "D3-char2", 432, 20, "nonzero")
+        report.run(check_new_example, "t-new", "T-new", 5184, 24, "t+1")
+        report.run(check_t_series)
+        report.run(check_structural)
     return report

@@ -199,37 +199,60 @@ def test_corrupted_rack_file_is_an_error(tmp_path, capsys):
     assert "not a permutation" in err
 
 
-def test_threads_env_variable(capsys, monkeypatch):
-    monkeypatch.setenv("THREADS", "3")
-    code, out = run(capsys, "--format", "json", "hurwitz", "census", "D3")
-    assert code == 0
-    assert json.loads(out)["counts"] == {"1": 3, "8": 3}
-
-
 def test_verify_paper_runs_serially_by_default(capsys, monkeypatch):
     from braidrack import verify
 
-    seen = {}
+    seen = []
 
-    def fake_verify_paper(profile, threads):
-        seen["threads"] = threads
-        return verify.Report(profile)
+    def fake_verify_paper(*args, **kwargs):
+        seen.append((args, kwargs))
+        return verify.Report("quick")
 
-    monkeypatch.delenv("THREADS", raising=False)
     monkeypatch.setattr(verify, "verify_paper", fake_verify_paper)
     code, _ = run(capsys, "--format", "json", "verify-paper")
     assert code == 0
-    assert seen == {"threads": 1}
+    # the CLI passes the profile only; verify_paper has one serial loop
+    assert seen == [((), {"profile": "quick"})]
+
+
+def test_verify_paper_exits_2_on_a_section_error(capsys, monkeypatch):
+    from braidrack import verify
+
+    def check_immunity(report):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(verify, "check_immunity", check_immunity)
+    code = main(["verify-paper", "--profile", "quick"])
+    out, err = capsys.readouterr()
+    assert code == 2
+    assert "Traceback" in err and "RuntimeError: boom" in err
+    assert "[ERROR] check_immunity / error (error, " in out
+    assert "computed='RuntimeError: boom'" in out
+    assert "[ok] P11-truncations / C-sign-1" in out
+    assert out.splitlines()[-1].startswith("38 checks, 1 mismatches, ")
+
+
+def test_verify_paper_exits_1_on_a_mismatch(capsys, monkeypatch):
+    from braidrack import verify
+
+    def wrong(report):
+        report.add("P0", "wrong", "closed-form", 1, 2)
+
+    for name in [n for n in vars(verify) if n.startswith("check_")]:
+        monkeypatch.setattr(verify, name, wrong)
+    code, out = run(capsys, "--format", "json", "verify-paper")
+    assert code == 1
+    assert len(json.loads(out)["entries"]) == 9
 
 
 def test_verify_paper_quick_json(capsys):
-    code, out = run(capsys, "--format", "json", "--threads", "2", "verify-paper", "--profile", "quick")
+    code, out = run(capsys, "--format", "json", "verify-paper", "--profile", "quick")
     assert code == 0
     data = json.loads(out)
     assert data["ok"] is True
     assert all(e["match"] for e in data["entries"])
     # payload is stable across runs apart from the runtime fields
-    code2, out2 = run(capsys, "--format", "json", "--threads", "1", "verify-paper", "--profile", "quick")
+    code2, out2 = run(capsys, "verify-paper", "--profile", "quick", "--format", "json")
     data2 = json.loads(out2)
     strip = lambda d: [
         {k: v for k, v in e.items() if k != "runtime_ms"} for e in d["entries"]

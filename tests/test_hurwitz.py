@@ -4,9 +4,10 @@ import random
 
 import pytest
 
-from braidrack import perms
+from braidrack import hurwitz, perms
 from braidrack.hurwitz import (
     REFERENCE_SIZES,
+    SymmetryCheckFailed,
     census,
     canonical_code,
     conjugate_orbit,
@@ -117,6 +118,15 @@ def test_same_size_orbits_isomorphic_with_witness():
     for i in range(2):
         for j in range(o1.size):
             assert mapping[o1.edges[i][j]] == o2.edges[i][mapping[j]]
+
+
+def test_orbit_isomorphism_witness_is_checked(monkeypatch):
+    o = reference_orbit(8)
+    # equal codes, but the second order is rotated: no automorphism of o
+    fake = iter([((0,), list(range(8))), ((0,), list(range(1, 8)) + [0])])
+    monkeypatch.setattr(hurwitz, "_canonical_code", lambda _o: next(fake))
+    with pytest.raises(SymmetryCheckFailed):
+        orbit_isomorphic(o, o, witness=True)
 
 
 def test_different_sizes_not_isomorphic():

@@ -6,7 +6,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from braidrack.braiding import BraidedSpace, cocycle_preset, constant_cocycle, transposition_model
+from braidrack.braiding import (
+    BraidedSpace,
+    coboundary_twist,
+    cocycle_preset,
+    constant_cocycle,
+    transposition_model,
+)
 from braidrack.fields import QQ, parse_field
 from braidrack.hilbert import expand_product
 from braidrack.hurwitz import orbits as hurwitz_orbits
@@ -151,6 +157,8 @@ def test_check_conditions_d3():
     assert rep.dims == [1, 3, 4, 3, 1]
     assert rep.cond1_truncated and rep.cond2 and rep.cond3
     assert rep.all_true()
+    assert rep.cubic == cubic_kernel(minus1("D3"))
+    assert rep.cubic.total == 9 and rep.cubic.many_cubic_threshold() == 8
 
 
 def test_check_conditions_fails_for_bad_q():
@@ -361,3 +369,31 @@ def test_group_model_bfs_order_does_not_change_dims():
         model = group_model_cocycle(gens, g, rho, QQ)
         dims.append(graded_dims(BraidedSpace(model.cocycle), 3))
     assert dims[0] == dims[1]
+
+
+TWIST_SPACES = {
+    "D3-minus1": lambda: minus1("D3"),
+    "T-minus1": lambda: minus1("T"),
+    "d3char2": lambda: cocycle_preset("d3char2"),
+    "t-new": lambda: cocycle_preset("t-new"),
+    "A-sign+1": lambda: transposition_model("A", 1),
+}
+
+
+@settings(max_examples=10, deadline=None)
+@given(name=st.sampled_from(sorted(TWIST_SPACES)), data=st.data())
+def test_coboundary_twists_keep_the_low_degree_dims(name, data):
+    b = TWIST_SPACES[name]()
+    f = b.field
+
+    def scalar(ab):
+        v = f.from_int(ab[0])
+        return f.add(v, f.mul(f.from_int(ab[1]), f.gen)) if hasattr(f, "gen") else v
+
+    unit = st.tuples(st.integers(-3, 3), st.integers(-2, 2)).map(scalar).filter(
+        lambda v: not f.is_zero(v))
+    fvals = data.draw(st.lists(unit, min_size=b.dim, max_size=b.dim))
+    bt = BraidedSpace(coboundary_twist(b.cocycle, fvals))
+    dims = NicholsEngine(bt).dims(3)
+    assert dims == [graded_dim_direct(bt, n) for n in range(4)]
+    assert dims == NicholsEngine(b).dims(3)

@@ -11,6 +11,7 @@ from braidrack.nichols import (
     symmetrizer_apply,
 )
 from braidrack.presentations import (
+    RELATION_PRESETS,
     Presentation,
     QuotientEngine,
     d3_char2_relations,
@@ -132,3 +133,14 @@ def test_basis_words_are_their_own_normal_forms(name):
         for n in range(6):
             for i, w in enumerate(eng.basis[n]):
                 assert eng.nf_vector({w: one}, n) == {i: one}
+
+
+def test_relation_presets_name_their_cocycle_preset():
+    assert list(RELATION_PRESETS) == ["d3char2", "t-new"]
+    for name, preset_ in RELATION_PRESETS.items():
+        space, rels, integral, chain = integral_preset(name)
+        assert space.cocycle.name == name
+        assert rels == preset_.relations(space.field)
+        assert len(integral) == len(chain)
+    with pytest.raises(KeyError):
+        integral_preset("d3-char2")

@@ -1,3 +1,4 @@
+import threading
 import time
 from fractions import Fraction
 
@@ -66,3 +67,72 @@ def test_structural_check_completes_when_every_bound_is_violated(monkeypatch):
     ]
     bounds = [e for e in rep.entries if e.name.endswith("-immunity-bounds")]
     assert [e.computed for e in bounds] == [False]
+
+
+def check_immunity(report):
+    raise RuntimeError("boom")
+
+
+def test_a_failing_section_becomes_an_error_entry(monkeypatch):
+    # the error entry is labelled with the name of the check that raised
+    monkeypatch.setattr(verify, "check_immunity", check_immunity)
+    rep = verify.verify_paper("quick")
+    errors = [e for e in rep.entries if e.provenance == "error"]
+    assert rep.errors() == errors
+    assert len(errors) == 1
+    (err,) = errors
+    assert (err.section, err.match, err.computed) == ("check_immunity", False, "RuntimeError: boom")
+    assert not rep.ok()
+    # every other section still ran: the 45 quick entries less P2's 8
+    others = [e for e in rep.entries if e is not err]
+    assert len(others) == 37 and all(e.match for e in others)
+    assert "P2-immunity" not in {e.section for e in others}
+    sections = list(dict.fromkeys(e.section for e in rep.entries))
+    assert sections[:3] == ["P1-census", "check_immunity", "P3-kernels"]
+    assert sections[-1] == "P11-truncations"
+
+
+def test_error_entry_names_the_certificate_and_keeps_earlier_entries():
+    def half_done(report, name):
+        report.add("half", "first", "closed-form", 1, 1)
+        raise KeyError(name)
+
+    rep = verify.Report(profile="full")
+    rep.run(half_done, "t-new")
+    first, err = rep.entries
+    assert first.match and first.name == "first"
+    assert err.section == "half_done('t-new',)"
+    assert err.computed == "KeyError: 't-new'"
+    assert rep.errors() == [err] and rep.failures() == [err]
+
+
+def test_sections_run_in_order_on_one_thread(monkeypatch):
+    seen = []
+    for name in [n for n in vars(verify) if n.startswith("check_")]:
+        def record(report, *args, _name=name):
+            seen.append((_name, args[:1], threading.get_ident()))
+        monkeypatch.setattr(verify, name, record)
+    rep = verify.verify_paper("full")
+    assert rep.entries == []
+    assert [(n, a) for n, a, _ in seen] == [
+        ("check_census", ()), ("check_immunity", ()), ("check_one_orbit_kernels", ()),
+        ("check_eight_orbit_bounds", ()), ("check_d3_minus1", ()),
+        ("check_negative_controls", ()), ("check_classification", ()),
+        ("check_inequality", ()), ("check_truncations", ()),
+        ("check_new_example", ("d3char2",)), ("check_new_example", ("t-new",)),
+        ("check_t_series", ()), ("check_structural", ()),
+    ]
+    assert {t for _, _, t in seen} == {threading.get_ident()}
+
+
+@pytest.mark.parametrize("profile", ["ful", "Quick", "", None])
+def test_unknown_profile_is_rejected(profile):
+    with pytest.raises(ValueError):
+        verify.verify_paper(profile)
+
+
+def test_verify_paper_accepts_no_worker_count():
+    # the keyword stays for callers that pass threads=1; nothing else runs
+    for threads in (0, 2, 4):
+        with pytest.raises(ValueError):
+            verify.verify_paper("quick", threads=threads)
