@@ -319,9 +319,7 @@ def cocycle_preset(name, field=None):
         model = group_model_cocycle(
             gens, g, {g: fld.from_int(-1)}, fld, labeling=labeling
         )
-        return BraidedSpace(
-            Cocycle(preset("B"), fld, model.cocycle.q, name=name, _validated=True)
-        )
+        return _on_preset_rack(model, preset("B"), name)
     raise CocycleError("unknown cocycle preset %r" % name)
 
 
@@ -349,14 +347,17 @@ def transposition_model(which, other_sign=1, field=None):
             perms.from_cycles(n, [(2, 4)]): sgn,
         }
     model = group_model_cocycle(gens, g, rho, fld, labeling=labeling)
-    return BraidedSpace(
-        Cocycle(
-            rack,
-            fld,
-            model.cocycle.q,
-            name="transposition-sign(%s,%+d)" % (which, other_sign),
-            _validated=True,
+    return _on_preset_rack(model, rack, "transposition-sign(%s,%+d)" % (which, other_sign))
+
+
+def _on_preset_rack(model, rack, name):
+    """The model's validated cocycle, carried onto the equal-table preset ``rack``."""
+    if model.rack != rack:
+        raise CocycleError(
+            "%s: the group model's rack differs from the preset %s" % (name, rack.name)
         )
+    return BraidedSpace(
+        Cocycle(rack, model.cocycle.field, model.cocycle.q, name=name, _validated=True)
     )
 
 

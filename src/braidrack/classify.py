@@ -4,11 +4,15 @@ The search fixes phi_1 to a canonical permutation of each admissible cycle
 type (k3 moved points, order = the degree), then extends the operation
 table cell by cell with constraint propagation:
 
-* rows are partial injections sharing phi_1's cycle type;
+* rows are partial injections (no value twice in a row, fixed points
+  included) whose closed cycles have lengths in phi_1's cycle type;
 * the quandle law and the braided three-cycle law (x|>y = z, z != y forces
   y|>z = x and z|>x = y, and x|>y = y forces y|>x = x) fire on assignment;
-* self-distributivity x|>(y|>a) = (x|>y)|>(x|>a) is propagated whenever
-  three of the four cells are known;
+* self-distributivity x|>(y|>a) = (x|>y)|>(x|>a) relates five cells:
+  y|>a, x|>y, x|>a, the left side x|>(y|>a) and the right side
+  (x|>y)|>(x|>a).  Setting any of the first three or the right side fires
+  the law (`_sd`): once y|>a, x|>y and x|>a are known, a known side sets
+  the other.  Setting the left side triggers nothing;
 * fresh elements are introduced in first-use order, which is a complete
   symmetry break because phi_1 fixes them all.
 
@@ -73,86 +77,81 @@ def _phi1_from_type(ctype):
     return cycles, nxt - 1
 
 
-class _State:
-    __slots__ = ("table", "rowset", "support", "trail")
+def _sd(t, X, Y, a, queue):
+    """Queue what X|>(Y|>a) = (X|>Y)|>(X|>a) forces once Y|>a, X|>Y, X|>a are known.
 
-    def __init__(self, size_cap):
-        self.table = [[-1] * size_cap for _ in range(size_cap)]
-        self.rowset = [set() for _ in range(size_cap)]
-        self.support = 0
-        self.trail = []
+    A known left side sets the right side (a mere check if that is known
+    too); otherwise a known right side sets the left side.
+    """
+    ya, xy, xa = t[Y][a], t[X][Y], t[X][a]
+    if ya == -1 or xy == -1 or xa == -1:
+        return
+    lhs = t[X][ya]
+    if lhs != -1:
+        queue.append((xy, xa, lhs))
+    elif t[xy][xa] != -1:
+        queue.append((X, ya, t[xy][xa]))
 
 
 class _Search:
+    """Depth-first search for one cycle type of phi_1; built once, run once."""
+
     def __init__(self, spec, degree, k3, ctype):
-        self.spec = spec
         self.degree = degree
         self.k3 = k3
         self.ctype = tuple(sorted(ctype, reverse=True))
         self.cap = spec.size_max
+        self.table = [[-1] * self.cap for _ in range(self.cap)]
+        self.rowset = [set() for _ in range(self.cap)]
+        self.support = 0
+        self.trail = []
         self.results = []
 
     def run(self):
         cycles, moved = _phi1_from_type(self.ctype)
         if moved >= self.cap:
             return self.results
-        st = _State(self.cap)
-        st.support = moved + 1
-        ok = True
-        for x in range(st.support):
-            if not self._assign(st, x, x, x):
-                ok = False
-                break
-        if ok:
-            for cyc in cycles:
-                for a, b in zip(cyc, cyc[1:] + cyc[:1]):
-                    if not self._assign(st, 0, a, b):
-                        ok = False
-                        break
-                if not ok:
-                    break
-        if ok:
-            # 0 fixes everything else; fresh elements get their cell on arrival
-            for y in range(st.support):
-                if st.table[0][y] == -1 and not self._assign(st, 0, y, y):
-                    ok = False
-                    break
-        if ok:
-            self._extend(st)
+        self.support = moved + 1
+        cells = [(x, x, x) for x in range(self.support)]
+        cells += [(0, a, b) for cyc in cycles for a, b in zip(cyc, cyc[1:] + cyc[:1])]
+        # 0 fixes everything else; fresh elements get their cell on arrival
+        if all(self._assign(*cell) for cell in cells) and all(
+            self._assign(0, y, y) for y in range(self.support) if self.table[0][y] == -1
+        ):
+            self._extend()
         return self.results
 
     # -- assignment with propagation ---------------------------------------
 
-    def _assign(self, st, x, y, z):
+    def _assign(self, x, y, z):
         """Set x|>y = z; returns False on contradiction.  Records the trail."""
         queue = [(x, y, z)]
         while queue:
             x, y, z = queue.pop()
-            cur = st.table[x][y]
+            cur = self.table[x][y]
             if cur != -1:
                 if cur != z:
                     return False
                 continue
-            if z != y and z in st.rowset[x]:
+            if z in self.rowset[x]:
                 return False
-            if max(x, y, z) >= st.support:
+            if max(x, y, z) >= self.support:
                 # fresh elements must appear in order
                 new = max(x, y, z)
-                if new > st.support or new >= self.cap:
+                if new > self.support or new >= self.cap:
                     return False
-                st.support += 1
-                st.trail.append(("support",))
+                self.support += 1
+                self.trail.append(("support",))
                 # quandle cell and phi_1 fixes the newcomer (it is beyond
                 # phi_1's moved points, which are all < initial support)
                 queue.append((new, new, new))
                 queue.append((0, new, new))
                 queue.append((x, y, z))
                 continue
-            st.table[x][y] = z
-            st.rowset[x].add(z)
-            st.trail.append(("cell", x, y, z))
-            # row cycle-type feasibility
-            if not self._row_feasible(st, x):
+            self.table[x][y] = z
+            self.rowset[x].add(z)
+            self.trail.append(("cell", x, y, z))
+            if not self._row_feasible(x, y):
                 return False
             # braided laws
             if x != y:
@@ -161,142 +160,75 @@ class _Search:
                 else:
                     queue.append((y, z, x))
                     queue.append((z, x, y))
-            # self-distributivity triggers involving the new cell
-            if not self._propagate_sd(st, x, y, z, queue):
-                return False
+            self._propagate_sd(x, y, queue)
         return True
 
-    def _row_feasible(self, st, x):
-        """Partial phi_x must extend to a permutation of cycle type ctype."""
-        row = st.table[x]
-        moved = sum(1 for y in range(st.support) if row[y] not in (-1, y))
-        if moved > self.k3:
+    def _row_feasible(self, x, y):
+        """Partial phi_x, just set at y, must extend to a permutation of type ctype.
+
+        Every cycle is checked as it closes, so only the one through y is new.
+        """
+        row = self.table[x]
+        if sum(1 for v in range(self.support) if row[v] not in (-1, v)) > self.k3:
             return False
-        # closed cycles must have admissible length; build via traversal
-        visited = set()
-        for y in range(st.support):
-            if y in visited or row[y] in (-1, y):
-                continue
-            # walk forward while defined
-            chain = [y]
-            cur = y
-            closed = False
-            while True:
-                nxt = row[cur]
-                if nxt == -1 or nxt == cur:
-                    break
-                if nxt == y:
-                    closed = True
-                    break
-                if nxt in chain:
-                    break
-                chain.append(nxt)
-                cur = nxt
-            if closed and len(set(chain) - visited) == len(chain):
-                if not self._cycle_ok(len(chain)):
-                    return False
-            visited.update(chain)
-        return True
+        length, cur = 1, row[y]
+        while cur not in (-1, y):
+            length, cur = length + 1, row[cur]
+        return cur == -1 or length == 1 or length in self.ctype
 
-    def _cycle_ok(self, length):
-        return length in self.ctype
+    def _propagate_sd(self, x, y, queue):
+        """Fire self-distributivity on every instance where (x, y) is a trigger cell."""
+        t, sup = self.table, range(self.support)
+        for a in sup:  # (x, y) = (X, Y)
+            _sd(t, x, y, a, queue)
+        for X in sup:  # (x, y) = (Y, a)
+            _sd(t, X, x, y, queue)
+        for Y in sup:  # (x, y) = (X, a)
+            _sd(t, x, Y, y, queue)
+        for X in sup:  # (x, y) = (X|>Y, X|>a)
+            row = t[X]
+            if x in row and y in row:
+                _sd(t, X, row.index(x), row.index(y), queue)
 
-    def _propagate_sd(self, st, x, y, z, queue):
-        """Fire x|>(y|>a) = (x|>y)|>(x|>a) instances touching cell (x, y)."""
-        t = st.table
-        sup = st.support
-        # role 1: (x, y) as the outer pair (X, Y) with X|>Y = Z known:
-        X, Y, Z = x, y, z
-        for a in range(sup):
-            ya = t[Y][a]
-            xa = t[X][a]
-            if ya != -1 and xa != -1:
-                lhs = t[X][ya]
-                if lhs != -1:
-                    queue.append((Z, xa, lhs))
-                else:
-                    rhs = t[Z][xa]
-                    if rhs != -1:
-                        queue.append((X, ya, rhs))
-        # role 2: (x, y) as (Y, a): for all X with X|>Y known
-        Y2, a2 = x, y
-        for X in range(sup):
-            Z2 = t[X][Y2]
-            xa = t[X][a2]
-            if Z2 != -1 and xa != -1:
-                lhs = t[X][z]
-                if lhs != -1:
-                    queue.append((Z2, xa, lhs))
-                else:
-                    rhs = t[Z2][xa]
-                    if rhs != -1:
-                        queue.append((X, z, rhs))
-        # role 3: (x, y) as (X, a): for all Y with X|>Y known
-        X3, a3 = x, y
-        for Y in range(sup):
-            Z3 = t[X3][Y]
-            ya = t[Y][a3]
-            if Z3 != -1 and ya != -1:
-                lhs = t[X3][ya]
-                if lhs != -1:
-                    queue.append((Z3, z, lhs))
-                else:
-                    rhs = t[Z3][z]
-                    if rhs != -1:
-                        queue.append((X3, ya, rhs))
-        # role 4: (x, y) as the outer cell (Z, xa): for X, a with x = X|>Y...
-        Z4, xa4 = x, y
-        for X in range(sup):
-            for Y in range(sup):
-                if t[X][Y] != Z4:
-                    continue
-                for a in range(sup):
-                    if t[X][a] != xa4:
-                        continue
-                    ya = t[Y][a]
-                    if ya != -1:
-                        queue.append((X, ya, z))
-        return True
-
-    def _undo_to(self, st, mark):
-        while len(st.trail) > mark:
-            item = st.trail.pop()
+    def _undo_to(self, mark):
+        while len(self.trail) > mark:
+            item = self.trail.pop()
             if item[0] == "support":
-                st.support -= 1
+                self.support -= 1
             else:
                 _, x, y, z = item
-                st.table[x][y] = -1
-                st.rowset[x].discard(z)
+                self.table[x][y] = -1
+                self.rowset[x].discard(z)
 
-    def _extend(self, st):
-        cell = self._pick_cell(st)
+    def _extend(self):
+        cell = self._pick_cell()
         if cell is None:
-            self._harvest(st)
+            self._harvest()
             return
         x, y = cell
         # candidate values: current support plus one fresh element
-        cands = list(range(st.support))
-        if st.support < self.cap:
-            cands.append(st.support)
+        cands = list(range(self.support))
+        if self.support < self.cap:
+            cands.append(self.support)
         for z in cands:
-            if z != y and z in st.rowset[x]:
+            if z in self.rowset[x]:
                 continue
-            mark = len(st.trail)
-            if self._assign(st, x, y, z):
-                self._extend(st)
-            self._undo_to(st, mark)
+            mark = len(self.trail)
+            if self._assign(x, y, z):
+                self._extend()
+            self._undo_to(mark)
 
-    def _pick_cell(self, st):
-        for x in range(st.support):
-            row = st.table[x]
-            for y in range(st.support):
+    def _pick_cell(self):
+        for x in range(self.support):
+            row = self.table[x]
+            for y in range(self.support):
                 if row[y] == -1:
                     return (x, y)
         return None
 
-    def _harvest(self, st):
-        d = st.support
-        table = [row[:d] for row in st.table[:d]]
+    def _harvest(self):
+        d = self.support
+        table = [row[:d] for row in self.table[:d]]
         try:
             r = validate_rack(table)
         except RackError:

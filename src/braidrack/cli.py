@@ -133,6 +133,9 @@ def cmd_hurwitz_census(args):
 def cmd_hurwitz_orbit(args):
     r = _load_rack(args.rack)
     seed = tuple(int(x) - 1 for x in args.seed.split(","))
+    for x in seed:
+        if not 0 <= x < r.size:
+            raise ValueError("seed entry %d is out of range 1..%d" % (x + 1, r.size))
     o = orbit(r, seed)
     print(o.to_json())
     return EXIT_OK
@@ -200,7 +203,7 @@ def cmd_nichols_cubic(args):
 
 def cmd_nichols_quotient(args):
     b = _load_space(args.rack, args.cocycle, args.field)
-    rels = _load_relations(args.relations, b.field)
+    rels = _load_relations(args.relations, b.field, b.dim)
     p = presentations.Presentation(b, rels)
     dims = presentations.quotient_dims(p, args.max_degree)
     payload = {"dims": dims, "total": sum(dims)}
@@ -209,7 +212,7 @@ def cmd_nichols_quotient(args):
     return EXIT_OK
 
 
-def _load_relations(arg, field):
+def _load_relations(arg, field, size):
     if arg in presentations.RELATION_PRESETS:
         return presentations.RELATION_PRESETS[arg].relations(field)
     with open(arg) as fh:
@@ -219,6 +222,10 @@ def _load_relations(arg, field):
         rel = {}
         for term in item["terms"]:
             word = presentations._words(term["word"])
+            if not all(0 <= x < size for x in word):
+                raise ValueError(
+                    "word %r has a letter outside a..%s" % (term["word"], chr(ord("a") + size - 1))
+                )
             if "degree" in item and len(word) != item["degree"]:
                 raise ValueError("term %r does not match the stated degree" % term["word"])
             rel[word] = field.parse(term["coeff"])

@@ -103,20 +103,20 @@ class OrbitCensus:
     formula_agrees: bool | None = None
 
 
-def orbits(r, n=3, cap=DEFAULT_ORBIT_CAP):
+def orbits(r, n=3):
     """All Hurwitz orbits of X^n, seeds in lexicographic order."""
     seen = set()
     out = []
     for tup in itertools.product(range(r.size), repeat=n):
         if tup in seen:
             continue
-        o = orbit(r, tup, cap=cap)
+        o = orbit(r, tup)
         seen.update(o.tuples)
         out.append(o)
     return out
 
 
-def census(r, n=3, cap=DEFAULT_ORBIT_CAP):
+def census(r, n=3):
     """Orbit-size census of X^n by full enumeration.
 
     For an indecomposable braided rack with n = 3 the closed-form counts
@@ -125,11 +125,10 @@ def census(r, n=3, cap=DEFAULT_ORBIT_CAP):
     and N_24 from the total d^3 are evaluated and compared.
 
     Seeds are claimed in lexicographic order, so each orbit is owned by its
-    least member; parallel workers claiming seeds under that rule would
-    produce the identical partition this single-threaded walk does.
+    least member.
     """
     counts = {}
-    for o in orbits(r, n, cap=cap):
+    for o in orbits(r, n):
         counts[o.size] = counts.get(o.size, 0) + 1
     total_ok = sum(s * c for s, c in counts.items()) == r.size**n
     result = OrbitCensus(r, n, counts, total_ok)

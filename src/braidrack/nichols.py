@@ -227,7 +227,7 @@ def graded_dim_direct(b, n):
         raise DegreeCap("d^n = %d exceeds the word cap" % b.dim**n)
     f = b.field
     total = 0
-    for o in hurwitz_orbits(b.rack, n, cap=DIRECT_WORD_CAP):
+    for o in hurwitz_orbits(b.rack, n):
         # NotBlockDiagonal if S_n ever left the orbit block
         m = operator_matrix(f, o.tuples, lambda w: symmetrizer_apply(b, n, {w: f.one}))
         total += rank(f, m)

@@ -53,10 +53,9 @@ class Rack:
 
     __slots__ = ("size", "table", "_phis", "_phi_invs", "name")
 
-    def __init__(self, table, name=None, _validated=False):
+    def __init__(self, table, name=None):
         table = tuple(tuple(row) for row in table)
-        if not _validated:
-            _validate(table)
+        _validate(table)
         self.size = len(table)
         self.table = table
         self._phis = table  # row x is the permutation phi_x
@@ -495,9 +494,9 @@ def _iterate(r, x, y, n):
     return y
 
 
-def inner_group_order(r, cap=INNER_GROUP_CAP):
+def inner_group_order(r):
     try:
-        return len(perms.mulclose([r.phi(x) for x in range(r.size)], cap=cap))
+        return len(perms.mulclose([r.phi(x) for x in range(r.size)], cap=INNER_GROUP_CAP))
     except OverflowError as exc:
         raise InnerGroupCapExceeded(str(exc)) from exc
 

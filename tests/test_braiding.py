@@ -8,6 +8,7 @@ from braidrack.braiding import (
     CharacterInconsistent,
     Cocycle,
     CocycleConditionFails,
+    CocycleError,
     NotInCentralizer,
     ZeroScalar,
     coboundary_twist,
@@ -78,6 +79,16 @@ def test_group_model_a_and_c():
     assert am.cocycle.diagonal_value() == QQ.from_int(-1)
     c = transposition_model("C", 1)
     assert c.dim == 10
+
+
+def test_group_model_on_a_mislabeled_rack_is_rejected(monkeypatch):
+    from braidrack import braiding
+
+    labels = braiding.preset_transposition_labels("A")
+    rotated = list(labels[1:]) + list(labels[:1])
+    monkeypatch.setattr(braiding, "preset_transposition_labels", lambda which: rotated)
+    with pytest.raises(CocycleError, match="differs from the preset"):
+        transposition_model("A", -1)
 
 
 def test_group_model_b():

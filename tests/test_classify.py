@@ -1,9 +1,13 @@
+import hashlib
+import json
+
 import pytest
 
 from braidrack.classify import (
     EXPECTED_BRAIDED_RACKS,
     SearchSpec,
     SizeCapExceeded,
+    _Search,
     _cycle_types,
     search,
     verify_tables,
@@ -106,3 +110,33 @@ def test_verify_tables_all_match():
     assert all(entry[-1] for entry in report)
     names = {e[1] for e in report if e[0] == "braided-racks"}
     assert names == set(EXPECTED_BRAIDED_RACKS)
+
+
+def _table_digest(spec):
+    tables = [[r.size, r.table] for r in search(spec)]
+    return hashlib.sha256(json.dumps(tables).encode()).hexdigest()
+
+
+@pytest.mark.parametrize(
+    "spec, digest",
+    [
+        # the representatives and their order; a change to the search must keep them
+        (SearchSpec(degrees=(2, 3, 4, 6), k3_max=6),
+         "9d3627bb2a236d18ad9854cf80af825b4bfb5e1f066bf76f76e881a9dcd6831e"),
+        (SearchSpec(degrees=(2,), k3_max=8, size_max=12),
+         "0099b38800990a02454dffb19eac981e3fb7249a2972f91c68d6203048814bdd"),
+        (SearchSpec(degrees=(2, 3), k3_max=4, size_max=9),
+         "863941e8811270305bbbe1708fb412b056a308016f53779ad55b93773b31c2b1"),
+    ],
+)
+def test_search_representatives_are_pinned(spec, digest):
+    assert _table_digest(spec) == digest
+
+
+def test_assign_keeps_rows_injective_at_fixed_points():
+    # x|>a = y with a != y leaves no room for x|>y = y in the row of x
+    s = _Search(SearchSpec(degrees=(2,), k3_max=2, size_max=6), 2, 2, (2,))
+    s.support = 3
+    s.table[0][1] = 2
+    s.rowset[0].add(2)
+    assert not s._assign(0, 2, 2)

@@ -59,6 +59,23 @@ def test_orbit_export(capsys):
     assert data["arity"] == 3 and len(data["tuples"]) == 8
 
 
+@pytest.mark.parametrize("seed, bad", [("0,1,2", "0"), ("1,9,2", "9")])
+def test_orbit_seed_out_of_range_is_an_error(capsys, seed, bad):
+    code = main(["hurwitz", "orbit", "D3", "--seed", seed])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert "seed entry %s is out of range 1..3" % bad in captured.err
+
+
+def test_relation_letter_out_of_range_is_an_error(tmp_path, capsys):
+    f = tmp_path / "rels.json"
+    f.write_text(json.dumps([{"terms": [{"word": "`a", "coeff": "1"}]}]))
+    code = main(["nichols", "quotient", "--cocycle", "d3char2", "--relations", str(f)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "word '`a' has a letter outside a..c" in err
+
+
 def test_immunity_command(capsys):
     code, out = run(capsys, "--format", "json", "immunity", "T")
     assert code == 0
