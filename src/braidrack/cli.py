@@ -51,14 +51,14 @@ def _load_space(rack_arg, cocycle_arg, field_spec):
 def _emit(payload, fmt, table_rows=None, header=None):
     if fmt == "json":
         print(json.dumps(payload, indent=2, default=str))
-    elif fmt == "csv":
-        rows = table_rows or _payload_rows(payload)
+        return
+    rows = _payload_rows(payload) if table_rows is None else table_rows
+    if fmt == "csv":
         if header:
             print(",".join(str(h) for h in header))
         for row in rows:
             print(",".join(str(c) for c in row))
     else:
-        rows = table_rows or _payload_rows(payload)
         widths = None
         if header:
             rows = [header] + rows

@@ -9,7 +9,6 @@ import itertools
 import json
 from dataclasses import dataclass
 
-from . import perms
 from .racks import Rack, invariants, is_braided, preset, trivial_rack
 
 DEFAULT_ORBIT_CAP = 10**6
@@ -45,12 +44,6 @@ class HurwitzOrbit:
 
     @property
     def size(self):
-        return len(self.tuples)
-
-    def seed(self):
-        return self.tuples[0]
-
-    def __len__(self):
         return len(self.tuples)
 
     def __repr__(self):
@@ -193,10 +186,6 @@ def order_isomorphism(o1, order1, o2, order2):
     return tuple(phi)
 
 
-def canonical_code(o):
-    return _canonical_code(o)[0]
-
-
 def _canonical_code(o):
     return min(rooted_codes(o), key=lambda code_order: code_order[0])
 
@@ -228,29 +217,6 @@ def _bfs_code(o, start):
     return tuple(code), order
 
 
-def conjugate_orbit(r, word, o):
-    """Apply an inner-group element diagonally to every tuple of the orbit.
-
-    ``word`` is a sequence of (element, exponent) pairs denoting the
-    composite phi_{e1}^{s1} o ... o phi_{ek}^{sk} (leftmost outermost).
-    """
-    g = perms.identity(r.size)
-    for elem, exp in word:
-        p = r.phi(elem) if exp >= 0 else r.phi_inv(elem)
-        for _ in range(abs(exp)):
-            g = perms.compose(g, p)
-    seed = tuple(g[v] for v in o.tuples[0])
-    return orbit(r, seed)
-
-
-def inner_product_invariant(r, tup):
-    """phi_{x1} ... phi_{xn} as a permutation: constant on Hurwitz orbits."""
-    g = perms.identity(r.size)
-    for v in tup:
-        g = perms.compose(g, r.phi(v))
-    return g
-
-
 # ---------------------------------------------------------------------------
 # reference orbit graphs, one per size occurring over braided racks
 
@@ -269,7 +235,7 @@ def _reference_seeds():
         9: (c10, (0, 7, 8)),     # x1 commutes with x8 and x9; x8, x9 do not
         12: (t4, (0, 2, 1)),     # (a, a|>c, c) with a|>^3 c = c
         16: (c10, (0, 7, 1)),    # exactly one commuting pair (x1, x8)
-        24: (aff, None),
+        24: (aff, (0, 1, 2)),    # three distinct entries, no commuting pair
     }
     return seeds
 
@@ -284,15 +250,7 @@ def reference_orbit(size):
         if size not in seeds:
             raise KeyError("no reference orbit of size %d" % size)
         r, seed = seeds[size]
-        if seed is None:
-            for tup in itertools.product(range(r.size), repeat=3):
-                o = orbit(r, tup)
-                if o.size == size:
-                    break
-            else:
-                raise AssertionError("no orbit of size %d found" % size)
-        else:
-            o = orbit(r, seed)
+        o = orbit(r, seed)
         if o.size != size:
             raise AssertionError(
                 "reference seed produced size %d, wanted %d" % (o.size, size)

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import hilbert
-from .hurwitz import orbits as hurwitz_orbits, sigma, sigma_inv
+from .hurwitz import orbits as hurwitz_orbits
 from .linalg import Echelon, SparseMatrix, kernel_dim, rank
 from .percolate import minimal_plague_cached
 
@@ -71,22 +71,6 @@ def _apply(f, vec, terms):
                 else:
                     out[nw] = s
     return out
-
-
-def braid_map(b, i, vec):
-    """c_{i,i+1} on a sparse vector of n-letter words (1 <= i <= n-1)."""
-    r, q = b.rack, b.cocycle.q
-    return _apply(b.field, vec, lambda w: ((sigma(r, i, w), q[w[i - 1]][w[i]]),))
-
-
-def braid_map_inv(b, i, vec):
-    f, r, q = b.field, b.rack, b.cocycle.q
-
-    def terms(w):
-        nw = sigma_inv(r, i, w)
-        yield nw, f.inv(q[nw[i - 1]][nw[i]])
-
-    return _apply(f, vec, terms)
 
 
 def _x_terms(b, letters):

@@ -87,11 +87,9 @@ def _extend(inst, touch, in_q, counts, v):
 
 @dataclass
 class PlagueResult:
-    orbit_size: int
     min_size: int
     witness: tuple       # member indices of a plague of size min_size
     immunity: Fraction
-    certified: bool      # exhaustive search below min_size found nothing
     seeds_closed: int = field(default=0, compare=False)  # closures this call computed
 
 
@@ -163,11 +161,9 @@ def minimal_plague(o):
         )
         if witness:
             return PlagueResult(
-                orbit_size=size,
                 min_size=k,
                 witness=witness,
                 immunity=Fraction(k, size),
-                certified=True,
                 seeds_closed=closed_count,
             )
     raise RuntimeError("no seed percolates, not even the full orbit")

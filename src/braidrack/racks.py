@@ -51,14 +51,13 @@ class InnerGroupCapExceeded(RackError):
 class Rack:
     """A validated finite rack.  Immutable; safe to share across threads."""
 
-    __slots__ = ("size", "table", "_phis", "_phi_invs", "name")
+    __slots__ = ("size", "table", "_phi_invs", "name")
 
     def __init__(self, table, name=None):
         table = tuple(tuple(row) for row in table)
         _validate(table)
         self.size = len(table)
-        self.table = table
-        self._phis = table  # row x is the permutation phi_x
+        self.table = table  # row x is the permutation phi_x
         self._phi_invs = tuple(perms.inverse(row) for row in table)
         self.name = name
 
@@ -66,13 +65,10 @@ class Rack:
         return self.table[x][y]
 
     def phi(self, x):
-        return self._phis[x]
+        return self.table[x]
 
     def phi_inv(self, x):
         return self._phi_invs[x]
-
-    def elements(self):
-        return range(self.size)
 
     def is_quandle(self):
         return all(self.table[x][x] == x for x in range(self.size))
@@ -132,7 +128,6 @@ def trivial_rack(d):
 # presets (labelings documented in the README)
 
 def _rack_from_phis(phis, name):
-    d = len(phis)
     return Rack([list(p) for p in phis], name=name)
 
 

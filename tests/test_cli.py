@@ -186,6 +186,24 @@ def test_classify_command(capsys):
     assert data[0]["isomorphic_to"] == "T"
 
 
+@pytest.mark.parametrize("fmt, header", [
+    ("table", "size  degree  k3  m  isomorphic to"),
+    ("csv", "size,degree,k3,m,isomorphic to"),
+], ids=["table", "csv"])
+@pytest.mark.parametrize("limit", [("--degree", "0"), ("--size-max", "1")],
+                         ids=["degree-0", "size-max-1"])
+def test_classify_with_no_rack_prints_the_header_only(capsys, fmt, header, limit):
+    code, out = run(capsys, "--format", fmt, "classify", *limit)
+    assert code == 0
+    assert out.splitlines() == [header]
+
+
+def test_classify_with_no_rack_json(capsys):
+    code, out = run(capsys, "--format", "json", "classify", "--degree", "0")
+    assert code == 0
+    assert json.loads(out) == []
+
+
 def test_classify_isomorphism_fault_is_an_error(capsys, monkeypatch):
     # a fault in the preset lookup must not read as "isomorphic to nothing"
     from braidrack import cli

@@ -20,8 +20,6 @@ from braidrack.linalg import kernel_dim
 from braidrack.nichols import (
     NicholsEngine,
     NotBlockDiagonal,
-    braid_map,
-    braid_map_inv,
     check_conditions,
     closed_form_kernel_1orbit,
     closed_form_kernel_8orbit_bound,
@@ -47,34 +45,6 @@ from braidrack.racks import preset
 def minus1(name, field=None):
     f = field or QQ
     return BraidedSpace(constant_cocycle(preset(name), f, f.from_int(-1)))
-
-
-def test_braid_map_on_d3():
-    b = minus1("D3")
-    out = braid_map(b, 1, {(0, 1, 2): QQ.one})
-    assert out == {(2, 0, 2): QQ.from_int(-1)}
-
-
-def test_braid_map_q1_is_hurwitz_sigma():
-    from braidrack.hurwitz import sigma
-
-    b = BraidedSpace(constant_cocycle(preset("T"), QQ, QQ.one))
-    rng = random.Random(3)
-    for _ in range(20):
-        w = tuple(rng.randrange(4) for _ in range(4))
-        i = rng.randint(1, 3)
-        assert braid_map(b, i, {w: QQ.one}) == {sigma(b.rack, i, w): QQ.one}
-
-
-def test_braid_map_inverse():
-    b = cocycle_preset("t-new")
-    K = b.field
-    rng = random.Random(11)
-    for _ in range(20):
-        w = tuple(rng.randrange(4) for _ in range(3))
-        vec = {w: K.pow(K.gen, rng.randrange(3))}
-        i = rng.randint(1, 2)
-        assert braid_map_inv(b, i, braid_map(b, i, vec)) == vec
 
 
 def test_symmetrizer_trivial_rank():

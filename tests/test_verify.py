@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from braidrack import nichols, verify
+from braidrack import nichols, percolate, verify
 from braidrack.percolate import PlagueResult
 
 
@@ -18,7 +18,29 @@ def test_entry_times_sum_to_at_most_the_section_wall_time():
 
 
 def _zero_immunity(orbit):
-    return PlagueResult(orbit.size, 0, (), Fraction(0), True)
+    return PlagueResult(0, (), Fraction(0))
+
+
+def test_quick_sections_search_each_orbit_class_once(monkeypatch):
+    # P2 fills the by-code cache with the eight reference orbits, so the
+    # cubic kernels of P3, P4 and P8 find every orbit class already searched
+    monkeypatch.setattr(percolate, "_BY_CODE_CACHE", {})
+    searched = []
+    real = percolate.minimal_plague
+
+    def counting(o):
+        searched.append(o.size)
+        return real(o)
+
+    monkeypatch.setattr(percolate, "minimal_plague", counting)
+    rep = verify.Report(profile="quick")
+    verify.check_immunity(rep)
+    verify.check_one_orbit_kernels(rep)
+    verify.check_eight_orbit_bounds(rep)
+    verify.check_d3_minus1(rep)
+    verify.check_negative_controls(rep)
+    assert rep.ok()
+    assert searched == [1, 3, 6, 8, 9, 12, 16, 24]
 
 
 def test_cubic_kernel_raises_immunity_bound_violated(monkeypatch):
