@@ -41,5 +41,5 @@ from .nichols import (
     symmetrizer_apply,
 )
 from .presentations import Presentation, quotient_dims, relation_in_kernel
-from .classify import SearchSpec, search, verify_tables
+from .classify import SearchSpec, search
 from .verify import verify_paper

@@ -7,18 +7,9 @@ d^3 triples at construction time.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from . import perms
 from .fields import QQ, QuotientRing, parse_field
-from .racks import (
-    Rack,
-    conjugacy_class_rack,
-    conjugation_rack,
-    is_isomorphic,
-    preset,
-    preset_transposition_labels,
-)
+from .racks import conjugation_rack, preset, preset_labels
 
 
 class CocycleError(Exception):
@@ -141,14 +132,6 @@ class BraidedSpace:
         return "BraidedSpace(%r)" % (self.cocycle,)
 
 
-@dataclass
-class GroupModel:
-    cocycle: Cocycle
-    rack: Rack
-    members: list
-    rep_depth: list
-
-
 def constant_cocycle(r, field, q, name=None):
     """q[x][y] = q for all x, y; the condition holds automatically."""
     if field.is_zero(q):
@@ -177,12 +160,9 @@ def group_model_cocycle(generators, g, rho, field, labeling=None):
     element the construction evaluates.  With ``labeling`` (a list of class
     members as permutations) the rack uses that element order; otherwise
     BFS discovery order starting at g.
-
-    Returns a GroupModel carrying the cocycle, rack, member labeling and
-    the BFS word length of each coset representative.
     """
     g = tuple(g)
-    members, reps, depth = perms.conjugacy_class(generators, g)
+    members, reps, _ = perms.conjugacy_class(generators, g)
     if labeling is not None:
         labeling = [tuple(p) for p in labeling]
         if sorted(labeling) != sorted(members):
@@ -230,12 +210,7 @@ def group_model_cocycle(generators, g, rho, field, labeling=None):
                     "needed centralizer element is outside the subgroup rho generates"
                 )
             q[y][x] = values[c]
-    return GroupModel(
-        cocycle=Cocycle(rack, field, q),
-        rack=rack,
-        members=members,
-        rep_depth=[depth[m] for m in members],
-    )
+    return Cocycle(rack, field, q)
 
 
 def coboundary_twist(c, fvals):
@@ -313,13 +288,8 @@ def cocycle_preset(name, field=None):
         return transposition_model("C", 1, field)
     if name == "group(S4,(1234),-1)":
         fld = field or QQ
-        gens = [perms.from_cycles(4, [(0, 1)]), perms.from_cycles(4, [(0, 1, 2, 3)])]
         g = perms.from_cycles(4, [(0, 1, 2, 3)])
-        labeling = _match_labeling(gens, g, preset("B"))
-        model = group_model_cocycle(
-            gens, g, {g: fld.from_int(-1)}, fld, labeling=labeling
-        )
-        return _on_preset_rack(model, preset("B"), name)
+        return _class_model("B", g, {g: fld.from_int(-1)}, fld, name)
     raise CocycleError("unknown cocycle preset %r" % name)
 
 
@@ -332,39 +302,32 @@ def transposition_model(which, other_sign=1, field=None):
     """
     fld = field or QQ
     n = 4 if which == "A" else 5
-    gens = [perms.from_cycles(n, [(0, 1)]), perms.from_cycles(n, [tuple(range(n))])]
     g = perms.from_cycles(n, [(0, 1)])
-    rack = preset(which)
-    labeling = [perms.from_cycles(n, [t]) for t in preset_transposition_labels(which)]
     minus = fld.from_int(-1)
     sgn = fld.one if other_sign == 1 else minus
-    if which == "A":
-        rho = {g: minus, perms.from_cycles(n, [(2, 3)]): sgn}
-    else:
-        rho = {
-            g: minus,
-            perms.from_cycles(n, [(2, 3)]): sgn,
-            perms.from_cycles(n, [(2, 4)]): sgn,
-        }
-    model = group_model_cocycle(gens, g, rho, fld, labeling=labeling)
-    return _on_preset_rack(model, rack, "transposition-sign(%s,%+d)" % (which, other_sign))
-
-
-def _on_preset_rack(model, rack, name):
-    """The model's validated cocycle, carried onto the equal-table preset ``rack``."""
-    if model.rack != rack:
-        raise CocycleError(
-            "%s: the group model's rack differs from the preset %s" % (name, rack.name)
-        )
-    return BraidedSpace(
-        Cocycle(rack, model.cocycle.field, model.cocycle.q, name=name, _validated=True)
+    rho = {g: minus, perms.from_cycles(n, [(2, 3)]): sgn}
+    if which == "C":
+        rho[perms.from_cycles(n, [(2, 4)])] = sgn
+    return _class_model(
+        which, g, rho, fld, "transposition-sign(%s,%+d)" % (which, other_sign)
     )
 
 
-def _match_labeling(generators, g, target_rack):
-    """Class members ordered so their conjugation rack equals target_rack."""
-    rk, members = conjugacy_class_rack(generators, g)
-    f = is_isomorphic(target_rack, rk, witness=True)
-    if f is None:
-        raise CocycleError("conjugacy class does not realize the target rack")
-    return [members[f[i]] for i in range(target_rack.size)]
+def _class_model(rack_name, g, rho, field, name):
+    """The group model of S_n, generated by [(0 1), (0 1 ... n-1)], on the
+    class preset ``rack_name`` in its documented labeling.
+
+    The cocycle depends on the BFS coset representatives, so the generator
+    order is part of each preset's definition, and ``g`` is given rather
+    than read from the labels.
+    """
+    labels = preset_labels(rack_name)
+    n = len(labels[0])
+    gens = [perms.from_cycles(n, [(0, 1)]), perms.from_cycles(n, [tuple(range(n))])]
+    c = group_model_cocycle(gens, g, rho, field, labeling=labels)
+    rack = preset(rack_name)
+    if c.rack != rack:
+        raise CocycleError(
+            "%s: the group model's rack differs from the preset %s" % (name, rack_name)
+        )
+    return BraidedSpace(Cocycle(rack, field, c.q, name=name, _validated=True))

@@ -24,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import lcm
 
-from .racks import RackError, invariants, is_braided, is_isomorphic, preset, validate_rack
+from .racks import RackError, invariants, is_braided, is_isomorphic, validate_rack
 
 
 # no search spec may ask for racks larger than this
@@ -258,45 +258,3 @@ def search(spec):
                         found.append(r)
     found.sort(key=lambda r: (r.size, r.table))
     return found
-
-
-# ---------------------------------------------------------------------------
-# table verification
-
-EXPECTED_BRAIDED_RACKS = {
-    # name -> (degree, size, k3, m)
-    "D3": (2, 3, 2, 0),
-    "T": (3, 4, 3, 3),
-    "A": (2, 6, 4, 0),
-    "B": (4, 6, 4, 0),
-    "C": (2, 10, 6, 0),
-    "Aff(7,3)": (6, 7, 6, 0),
-    "Aff(7,5)": (6, 7, 6, 0),
-}
-
-EXPECTED_DEG2_K3 = {
-    # name -> (size, k3)
-    "D3": (3, 2),
-    "A": (6, 4),
-    "Aff(9,2)": (9, 8),
-    "C": (10, 6),
-}
-
-
-def verify_tables():
-    """Recompute the reference rack tables from the presets.
-
-    Returns a list of (table, name, expected, computed, match) entries.
-    """
-    report = []
-    for name, (deg, size, k3, m) in sorted(EXPECTED_BRAIDED_RACKS.items()):
-        inv = invariants(preset(name))
-        computed = (inv.degree, inv.size, inv.k3, inv.m)
-        report.append(
-            ("braided-racks", name, (deg, size, k3, m), computed, computed == (deg, size, k3, m))
-        )
-    for name, (size, k3) in sorted(EXPECTED_DEG2_K3.items()):
-        inv = invariants(preset(name))
-        computed = (inv.size, inv.k3)
-        report.append(("deg2-k3", name, (size, k3), computed, computed == (size, k3)))
-    return report

@@ -17,7 +17,6 @@ from .hurwitz import (
     orbits,
     order_isomorphism,
     rooted_codes,
-    sigma,
 )
 
 
@@ -30,13 +29,10 @@ class ImmunityMismatch(Exception):
 
 
 def closure_instances(o):
-    """The list of (i, j, k) index triples, one instance per orbit member."""
-    inst = []
-    for idx, t in enumerate(o.tuples):
-        s2 = sigma(o.rack, 2, t)
-        s12 = sigma(o.rack, 1, s2)
-        inst.append((idx, o.index[s2], o.index[s12]))
-    return inst
+    """The list of (i, j, k) index triples, one instance per orbit member,
+    read from the orbit's sigma_1 and sigma_2 edges."""
+    e1, e2 = o.edges
+    return [(i, e2[i], e1[e2[i]]) for i in range(o.size)]
 
 
 def _forcing_tables(o):

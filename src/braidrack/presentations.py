@@ -55,8 +55,9 @@ class QuotientEngine(GradedEngine):
             n = len(next(iter(r)))
             self.rels_by_degree.setdefault(n, []).append(r)
             self._check_relation_grade(r)
-        if 1 in self.rels_by_degree:
-            raise NotHomogeneous("degree-1 relations are not supported")
+        low = min(self.rels_by_degree, default=2)
+        if low < 2:
+            raise NotHomogeneous("degree-%d relations are not supported" % low)
 
     def _check_relation_grade(self, r):
         grades = {self.grading.of_word(w) for w in r}

@@ -127,59 +127,27 @@ def trivial_rack(d):
 # ---------------------------------------------------------------------------
 # presets (labelings documented in the README)
 
-def _rack_from_phis(phis, name):
-    return Rack([list(p) for p in phis], name=name)
-
-
-def _dihedral3():
-    # phi_1 = (2 3), phi_2 = (1 3), phi_3 = (1 2)   [1-based labels]
-    return _rack_from_phis(
-        [
-            perms.from_cycles(3, [(1, 2)]),
-            perms.from_cycles(3, [(0, 2)]),
-            perms.from_cycles(3, [(0, 1)]),
-        ],
-        "D3",
-    )
-
-
-def _tetrahedral():
-    # phi_1 = (2 3 4); the braided extension is forced
-    return _rack_from_phis(
-        [
-            perms.from_cycles(4, [(1, 2, 3)]),
-            perms.from_cycles(4, [(2, 0, 3)]),
-            perms.from_cycles(4, [(3, 0, 1)]),
-            perms.from_cycles(4, [(0, 2, 1)]),
-        ],
-        "T",
-    )
-
-
-def _transpositions_s4():
-    # x1=(1 2), x2=(2 3), x3=(1 3), x4=(3 4), x5=(2 4), x6=(1 4) in S4,
-    # conjugation rack; phi_1 = (2 3)(5 6), phi_2 = (1 3)(4 5)
-    return _conjugation_rack_from_transpositions(_TRANSPOSITION_LABELS["A"], 4, "A")
-
-
-def _transpositions_s5():
-    # x1=(1 2), x2=(2 3), x3=(1 3), x4=(2 4), x5=(1 4),
-    # x6=(2 5), x7=(1 5), x8=(3 4), x9=(3 5), x10=(4 5) in S5
-    return _conjugation_rack_from_transpositions(_TRANSPOSITION_LABELS["C"], 5, "C")
-
-
-_TRANSPOSITION_LABELS = {
-    "A": [(0, 1), (1, 2), (0, 2), (2, 3), (1, 3), (0, 3)],
-    "C": [
-        (0, 1), (1, 2), (0, 2), (1, 3), (0, 3),
-        (1, 4), (0, 4), (2, 3), (2, 4), (3, 4),
-    ],
+# Each class preset is the conjugation rack of a conjugacy class: element i
+# is the i-th permutation, given as one 0-based cycle on n points.  D3 is
+# the transpositions of S3, T the 3-cycles of A4, A and C the transpositions
+# of S4 and S5, B the 4-cycles of S4.
+_CLASS_LABELS = {
+    "D3": (3, [(1, 2), (0, 2), (0, 1)]),
+    "T": (4, [(1, 2, 3), (0, 3, 2), (0, 1, 3), (0, 2, 1)]),
+    "A": (4, [(0, 1), (1, 2), (0, 2), (2, 3), (1, 3), (0, 3)]),
+    "B": (4, [(0, 1, 2, 3), (0, 2, 3, 1), (0, 2, 1, 3),
+              (0, 1, 3, 2), (0, 3, 1, 2), (0, 3, 2, 1)]),
+    "C": (5, [(0, 1), (1, 2), (0, 2), (1, 3), (0, 3),
+              (1, 4), (0, 4), (2, 3), (2, 4), (3, 4)]),
 }
 
+_AFFINE_PRESETS = ("Aff(7,3)", "Aff(7,5)", "Aff(9,2)")
 
-def preset_transposition_labels(name):
-    """The documented transposition underlying each element of A or C."""
-    return list(_TRANSPOSITION_LABELS[name])
+
+def preset_labels(name):
+    """The permutation underlying each element of the class preset ``name``."""
+    n, cycles = _CLASS_LABELS[name]
+    return [perms.from_cycles(n, [c]) for c in cycles]
 
 
 def conjugation_rack(members, name=None):
@@ -191,25 +159,6 @@ def conjugation_rack(members, name=None):
         for px in members
     ]
     return Rack(table, name=name)
-
-
-def _conjugation_rack_from_transpositions(labels, n, name):
-    return conjugation_rack([perms.from_cycles(n, [t]) for t in labels], name=name)
-
-
-def _four_cycles_s4():
-    # phi_1 = (2 3 4 5), phi_2 = (3 1 5 6); remaining rows forced
-    return _rack_from_phis(
-        [
-            perms.from_cycles(6, [(1, 2, 3, 4)]),
-            perms.from_cycles(6, [(2, 0, 4, 5)]),
-            perms.from_cycles(6, [(3, 0, 1, 5)]),
-            perms.from_cycles(6, [(4, 0, 2, 5)]),
-            perms.from_cycles(6, [(1, 0, 3, 5)]),
-            perms.from_cycles(6, [(1, 4, 3, 2)]),
-        ],
-        "B",
-    )
 
 
 def affine_rack(q, alpha, name=None):
@@ -306,26 +255,14 @@ def braided_affine_param(p):
     raise AssertionError("unreachable: F_{p^2} always contains a 6th root of unity")
 
 
-_PRESET_BUILDERS = {
-    "D3": _dihedral3,
-    "T": _tetrahedral,
-    "A": _transpositions_s4,
-    "B": _four_cycles_s4,
-    "C": _transpositions_s5,
-    "Aff(7,3)": lambda: affine_rack(7, 3),
-    "Aff(7,5)": lambda: affine_rack(7, 5),
-    "Aff(9,2)": lambda: affine_rack(9, 2),
-}
-
-
 def preset_names():
-    return sorted(_PRESET_BUILDERS)
+    return sorted([*_CLASS_LABELS, *_AFFINE_PRESETS])
 
 
 def preset(name):
     """Named rack with its fixed, documented labeling."""
-    if name in _PRESET_BUILDERS:
-        return _PRESET_BUILDERS[name]()
+    if name in _CLASS_LABELS:
+        return conjugation_rack(preset_labels(name), name=name)
     if name.startswith("Aff(") and name.endswith(")"):
         body = name[4:-1]
         parts = body.split(",")

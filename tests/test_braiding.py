@@ -1,3 +1,5 @@
+import hashlib
+import json
 import random
 
 import pytest
@@ -84,9 +86,9 @@ def test_group_model_a_and_c():
 def test_group_model_on_a_mislabeled_rack_is_rejected(monkeypatch):
     from braidrack import braiding
 
-    labels = braiding.preset_transposition_labels("A")
-    rotated = list(labels[1:]) + list(labels[:1])
-    monkeypatch.setattr(braiding, "preset_transposition_labels", lambda which: rotated)
+    labels = braiding.preset_labels("A")
+    rotated = labels[1:] + labels[:1]
+    monkeypatch.setattr(braiding, "preset_labels", lambda name: rotated)
     with pytest.raises(CocycleError, match="differs from the preset"):
         transposition_model("A", -1)
 
@@ -121,8 +123,9 @@ def test_group_model_aff7_twists_to_constant():
     model = group_model_cocycle(gens, g, {g: QQ.from_int(-1)}, QQ, labeling=labeling)
     assert model.rack == r
     # twisting by parity of the representative word length gives constant -1
-    f = [QQ.from_int((-1) ** d) for d in model.rep_depth]
-    twisted = coboundary_twist(model.cocycle, f)
+    _, _, depth = perms.conjugacy_class(gens, g)
+    f = [QQ.from_int((-1) ** depth[p]) for p in labeling]
+    twisted = coboundary_twist(model, f)
     minus1 = constant_cocycle(r, QQ, QQ.from_int(-1))
     assert twisted.q == minus1.q
 
@@ -157,3 +160,35 @@ def test_minus1_preset():
     space = cocycle_preset("minus1(T)")
     assert space.dim == 4
     assert space.cocycle.diagonal_value() == QQ.from_int(-1)
+
+
+# SHA-256 of json.dumps([name, q]), q's entries printed by the field: a
+# relabeling of the underlying preset that moves any entry changes the digest.
+COCYCLE_DIGESTS = {
+    "d3char2": "1e321107230498525f6c585e50aff0e67ba71e6f3ccfa694312ea22f8a6d5b57",
+    "t-new": "07e0c132cb4ac29e3e77dd29d9ab1681c82e492390e08dbb92b7e0632ea26a84",
+    "t-sign-flipped": "8903ff7a8c369a3d8655844392e658935bca752658e071c3ede1c6fde6b9413f",
+    "minus1(D3)": "dae5127c27992a830de3a696c9250ead72a1a96461e977e1dd7bde094beaf7f3",
+    "minus1(T)": "2f2fd0182938c7c16241e8c66fd8b6ad7378fdf6fb7aaf0bf5bea17bdbd6b631",
+    "transposition-sign(A)": "a3ea472df7a3859dc19a57c97df698b3e758813a6178dc0a4ffd76c3a4c887bf",
+    "transposition-sign(C)": "ae24a67f856ade769b157da0cf69047d585764ccad3aec725a3657c8c959be61",
+    "group(S4,(1234),-1)": "21b65dd973e31e9a3a0850b99bfd138f40def61f1cc6dcef3b00813b578875a1",
+    "transposition_model(A,+1)": "c089b442eadc3aa7a45106e593852b0a362c38d71fa01439bd19b4140cfe7b39",
+    "transposition_model(A,-1)": "6db6d5bb9e933071a876b0259718d8480d17fd49f88f6302f6364f0f04d279c2",
+    "transposition_model(C,+1)": "04fc1ec731f85b9efa4fd86ca770cf4c204d9dcc01d0cc061c7b179930d6b744",
+    "transposition_model(C,-1)": "adb7e66baf9f343fe636125e4c0a485cbe8fc3193eaecf06599079701634624f",
+}
+
+
+def _pinned_space(name):
+    if name.startswith("transposition_model("):
+        return transposition_model(name[20], int(name[22:-1]))
+    return cocycle_preset(name)
+
+
+@pytest.mark.parametrize("name", sorted(COCYCLE_DIGESTS))
+def test_cocycle_tables_are_pinned(name):
+    space = _pinned_space(name)
+    q = [[space.field.to_str(v) for v in row] for row in space.cocycle.q]
+    digest = hashlib.sha256(json.dumps([name, q]).encode()).hexdigest()
+    assert digest == COCYCLE_DIGESTS[name]

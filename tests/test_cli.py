@@ -76,6 +76,16 @@ def test_relation_letter_out_of_range_is_an_error(tmp_path, capsys):
     assert "word '`a' has a letter outside a..c" in err
 
 
+
+def test_degree0_relation_is_an_error(tmp_path, capsys):
+    # a scalar relation makes the ideal everything; it is rejected, not ignored
+    f = tmp_path / "rels.json"
+    f.write_text(json.dumps([{"terms": [{"word": "", "coeff": "1"}]}]))
+    code = main(["nichols", "quotient", "D3", "--relations", str(f)])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert "degree-0 relations are not supported" in captured.err
+
 def test_immunity_command(capsys):
     code, out = run(capsys, "--format", "json", "immunity", "T")
     assert code == 0

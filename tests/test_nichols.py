@@ -337,7 +337,7 @@ def test_group_model_bfs_order_does_not_change_dims():
     dims = []
     for gens in (gens_a, gens_b):
         model = group_model_cocycle(gens, g, rho, QQ)
-        dims.append(graded_dims(BraidedSpace(model.cocycle), 3))
+        dims.append(graded_dims(BraidedSpace(model), 3))
     assert dims[0] == dims[1]
 
 

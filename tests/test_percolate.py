@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from braidrack import percolate
-from braidrack.hurwitz import REFERENCE_SIZES, HurwitzOrbit, orbit, orbits, reference_orbit
+from braidrack.hurwitz import REFERENCE_SIZES, HurwitzOrbit, orbit, orbits, reference_orbit, sigma
 from braidrack.percolate import (
     EXPECTED_MIN_PLAGUE,
     EmptySeed,
@@ -231,3 +231,19 @@ def test_closure_operator_properties_random(seed):
     c = quarantine_closure(o, seed)
     assert seed <= c
     assert quarantine_closure(o, c) == c
+
+
+def _tuple_level_instances(o):
+    """The closure instances from their definition: (T, sigma2 T, sigma1 sigma2 T)."""
+    out = []
+    for i, t in enumerate(o.tuples):
+        s2 = sigma(o.rack, 2, t)
+        out.append((i, o.index[s2], o.index[sigma(o.rack, 1, s2)]))
+    return out
+
+
+def test_closure_instances_match_the_tuple_definition():
+    checked = [reference_orbit(size) for size in REFERENCE_SIZES]
+    checked += orbits(preset("Aff(7,3)"), 3)
+    for o in checked:
+        assert closure_instances(o) == _tuple_level_instances(o)

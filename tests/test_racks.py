@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import json
 
@@ -15,10 +16,12 @@ from braidrack.racks import (
     braided_affine_param,
     components,
     conjugacy_class_rack,
+    conjugation_rack,
     invariants,
     is_braided,
     is_isomorphic,
     preset,
+    preset_labels,
     preset_names,
     trivial_rack,
     validate_rack,
@@ -104,6 +107,48 @@ def test_preset_invariants(name):
     assert inv.m % 3 == 0
     assert inv.degree in (1, 2, 3, 4, 6)
 
+
+
+# SHA-256 of json.dumps([name, table]) per preset: a relabeling of any
+# preset changes its digest.
+TABLE_DIGESTS = {
+    "D3": "dd746f3da694a48a5d8edd2c37bda97e648c3a0c70519590a8f7139761059c1d",
+    "T": "4e822c9a074059692710f2ca92336bc6194527dcba02455ba6ae5b136253f742",
+    "A": "2894193033ccbd15d101a3f6fad9dad65a99ad5c15348b625775f6c85cfed8c8",
+    "B": "d07b8f4c4897f323f3df04c61fe586cee970be9c321a6246ac78d69111929de4",
+    "C": "2fc117f9de111199d9c92179a7151c7603fb4da3ee69f7f0564ffbfb45ba0463",
+    "Aff(7,3)": "d5af999166f0d8ce4d2611049b6f40d6884cba1de0b6d319ae95dae8ad6cc186",
+    "Aff(7,5)": "fa5c4a678bedef1c881c05c970a1ca8588313616a7c605fe541a7a8d0b75650c",
+    "Aff(9,2)": "3a0f67a326a6f8eb04cbf0d3631ffe4ee2a3c5345efd7b23fd941821067aa913",
+}
+
+
+@pytest.mark.parametrize("name", ALL_PRESETS)
+def test_preset_tables_are_pinned(name):
+    digest = hashlib.sha256(json.dumps([name, preset(name).table]).encode()).hexdigest()
+    assert digest == TABLE_DIGESTS[name]
+
+
+# The group, by order and generators, whose single conjugacy class each
+# class preset's labels are: S3, A4, S4, S4 and S5.
+CLASS_GROUPS = {
+    "D3": (6, [perms.from_cycles(3, [(0, 1)]), perms.from_cycles(3, [(0, 1, 2)])]),
+    "T": (12, [perms.from_cycles(4, [(0, 1, 2)]), perms.from_cycles(4, [(1, 2, 3)])]),
+    "A": (24, [perms.from_cycles(4, [(0, 1)]), perms.from_cycles(4, [(0, 1, 2, 3)])]),
+    "B": (24, [perms.from_cycles(4, [(0, 1)]), perms.from_cycles(4, [(0, 1, 2, 3)])]),
+    "C": (120, [perms.from_cycles(5, [(0, 1)]), perms.from_cycles(5, [(0, 1, 2, 3, 4)])]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CLASS_GROUPS))
+def test_preset_labels_are_one_conjugacy_class(name):
+    order, gens = CLASS_GROUPS[name]
+    assert len(perms.mulclose(gens)) == order
+    labels = preset_labels(name)
+    members, _, _ = perms.conjugacy_class(gens, labels[0])
+    assert len(set(labels)) == len(labels)
+    assert sorted(labels) == sorted(members)
+    assert preset(name) == conjugation_rack(labels)
 
 def test_preset_t_phi1():
     assert preset("T").phi(0) == perms.from_cycles(4, [(1, 2, 3)])
