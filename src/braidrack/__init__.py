@@ -9,15 +9,13 @@ from .racks import (
     RackError,
     affine_rack,
     braided_affine_param,
-    conjugacy_class_rack,
     invariants,
     is_braided,
     is_isomorphic,
     preset,
     preset_names,
-    validate_rack,
 )
-from .hurwitz import HurwitzOrbit, census, orbit, orbit_isomorphic, sigma, sigma_inv
+from .hurwitz import HurwitzOrbit, census, orbit, sigma, sigma_inv
 from .percolate import immunity_table, minimal_plague, quarantine_closure
 from .braiding import (
     BraidedSpace,
@@ -36,7 +34,6 @@ from .nichols import (
     closed_form_kernel_8orbit_bound,
     cubic_kernel,
     derive,
-    general_inequality,
     graded_dims,
     symmetrizer_apply,
 )

@@ -7,7 +7,7 @@ d^3 triples at construction time.
 """
 from __future__ import annotations
 
-from . import perms
+from . import hurwitz, perms
 from .fields import QQ, QuotientRing, parse_field
 from .racks import conjugation_rack, preset, preset_labels
 
@@ -70,13 +70,8 @@ class Cocycle:
     def dim(self):
         return self.rack.size
 
-    def braid(self, x, y):
-        """c(v_x (x) v_y) as ((x|>y, x), scalar)."""
-        return (self.rack.table[x][y], x), self.q[x][y]
-
     def check_yang_baxter(self):
         """(c12 c23 c12)(v_x v_y v_z) == (c23 c12 c23)(v_x v_y v_z) on the basis."""
-        f = self.field
         d = self.rack.size
         for x in range(d):
             for y in range(d):
@@ -88,20 +83,13 @@ class Cocycle:
         return True
 
     def _apply_seq(self, word, positions):
+        """c_{i+1,i+2} for each 0-based i of ``positions`` in turn: the
+        Hurwitz move sigma_{i+1} times the q factor of the pair it moves."""
         coeff = self.field.one
-        w = list(word)
         for i in positions:
-            (a, b), c = self.braid(w[i], w[i + 1])
-            w[i], w[i + 1] = a, b
-            coeff = self.field.mul(coeff, c)
-        return tuple(w), coeff
-
-    def diagonal_value(self):
-        """q[x][x]; for indecomposable racks the same for every x."""
-        vals = {self.q[x][x] for x in range(self.rack.size)}
-        if len(vals) != 1:
-            return None
-        return next(iter(vals))
+            coeff = self.field.mul(coeff, self.q[word[i]][word[i + 1]])
+            word = hurwitz.sigma(self.rack, i + 1, word)
+        return word, coeff
 
     def __repr__(self):
         nm = self.name or "cocycle"

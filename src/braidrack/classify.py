@@ -24,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import lcm
 
-from .racks import RackError, invariants, is_braided, is_isomorphic, validate_rack
+from .racks import Rack, RackError, invariants, is_braided, is_isomorphic
 
 
 # no search spec may ask for racks larger than this
@@ -230,7 +230,7 @@ class _Search:
         d = self.support
         table = [row[:d] for row in self.table[:d]]
         try:
-            r = validate_rack(table)
+            r = Rack(table)
         except RackError:
             return
         if not is_braided(r):

@@ -43,6 +43,11 @@ def _load_space(rack_arg, cocycle_arg, field_spec):
     if cocycle_arg and cocycle_arg not in ("minus1",):
         fld = parse_field(field_spec) if field_spec else None
         return cocycle_preset(cocycle_arg, field=fld)
+    if rack_arg is None:
+        raise ValueError(
+            "the rack argument is missing: give a rack preset or JSON file, "
+            "or a cocycle preset or file with --cocycle"
+        )
     fld = parse_field(field_spec) if field_spec else QQ
     r = _load_rack(rack_arg)
     return BraidedSpace(constant_cocycle(r, fld, fld.from_int(-1), name="minus1"))
@@ -228,6 +233,8 @@ def _load_relations(arg, field, size):
                 )
             if "degree" in item and len(word) != item["degree"]:
                 raise ValueError("term %r does not match the stated degree" % term["word"])
+            if word in rel:
+                raise ValueError("word %r appears twice in one relation" % term["word"])
             rel[word] = field.parse(term["coeff"])
         rels.append(rel)
     return rels

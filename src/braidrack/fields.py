@@ -328,13 +328,17 @@ class QuotientRing(Field):
             # t reduces to a base element when the modulus is linear
             gen[0] = base.neg(modulus[0])
         self.gen = tuple(gen)
-        self.irreducible_checked, self.irreducible_assumed = self._check_irreducible()
+        self.irreducible_assumed = self._check_irreducible()
 
     def _check_irreducible(self):
+        """Whether irreducibility is assumed, unchecked: for degree > 3.
+
+        A modulus of degree 2 or 3 with a root in the base raises FieldError.
+        """
         if self.degree == 1:
-            return True, False
+            return False
         if self.degree > 3:
-            return False, True
+            return True
         # degree 2 or 3: irreducible over the base iff it has no root there
         if isinstance(self.base, PrimeField):
             candidates = self.base.elements()
@@ -350,7 +354,7 @@ class QuotientRing(Field):
                     % (_poly_text(self.base, self.modulus), self.base.spec_string(),
                        self.base.to_str(c))
                 )
-        return True, False
+        return False
 
     def _rational_root_candidates(self):
         # monic over QQ: clear denominators, then any rational root of the
@@ -572,12 +576,6 @@ class QuadraticRationalField(QuotientRing):
     def from_base(self, c):
         c = Fraction(c)
         return (c.numerator, 0, c.denominator)
-
-    def pair(self, c0, c1):
-        """Element c0 + c1 t from base-field coefficients."""
-        c0, c1 = Fraction(c0), Fraction(c1)
-        den = lcm(c0.denominator, c1.denominator)
-        return self._norm(int(c0 * den), int(c1 * den), den)
 
     def coefficients(self, x):
         """(constant, t-coefficient) as Fractions."""

@@ -63,8 +63,9 @@ class HurwitzOrbit:
 def orbit(r, tup, cap=DEFAULT_ORBIT_CAP):
     """Closure of a tuple under sigma_1..sigma_{n-1} and inverses (BFS).
 
-    Neighbours are visited sigma_1, ..., sigma_{n-1}, then the inverses,
-    so discovery order is deterministic.
+    Neighbours are visited sigma_1, sigma_1^{-1}, sigma_2, sigma_2^{-1},
+    ..., so discovery order is deterministic; it numbers the tuples that
+    ``braidrack hurwitz orbit`` and the immunity witnesses print.
     """
     tup = tuple(tup)
     n = len(tup)
@@ -150,24 +151,6 @@ def census(r, n=3):
 class SymmetryCheckFailed(RuntimeError):
     """A map between orbits fails its check: it is no isomorphism of the
     sigma-labelled orbit graphs, or it does not carry a plague to a plague."""
-
-
-def orbit_isomorphic(o1, o2, witness=False):
-    """Edge-label-preserving digraph isomorphism of the two orbit graphs.
-
-    Two orbits are compared by canonical BFS codes; the witness (a mapping
-    index(o1) -> index(o2)) is produced by matching canonical traversals
-    and checked against every edge.
-    """
-    if o1.arity != o2.arity or o1.size != o2.size:
-        return None if witness else False
-    code1, order1 = _canonical_code(o1)
-    code2, order2 = _canonical_code(o2)
-    if code1 != code2:
-        return None if witness else False
-    if not witness:
-        return True
-    return order_isomorphism(o1, order1, o2, order2)
 
 
 def order_isomorphism(o1, order1, o2, order2):

@@ -108,11 +108,6 @@ def apply_x(b, vec, off, k):
     return _apply(b.field, vec, terms)
 
 
-def x3_apply(b, vec):
-    """1 + c12 + c12 c23 on 3-letter words."""
-    return apply_x(b, vec, 0, 3)
-
-
 def symmetrizer_apply(b, n, vec):
     """S_n applied to a sparse vector of n-letter words."""
     for k in range(n, 1, -1):
@@ -424,7 +419,7 @@ def cubic_kernel(b):
     blocks = []
     total = 0
     for o in hurwitz_orbits(b.rack, 3):
-        m = operator_matrix(f, o.tuples, lambda w: x3_apply(b, {w: f.one}))
+        m = operator_matrix(f, o.tuples, lambda w: apply_x(b, {w: f.one}, 0, 3))
         dim = o.size - rank(f, m)
         if o.size <= BOUND_ORBIT_CAP:
             imm = minimal_plague_cached(o).immunity
@@ -454,9 +449,6 @@ class ConditionsReport:
     cond2: bool
     cond3: bool
     cubic: CubicKernelReport
-
-    def all_true(self):
-        return self.cond1_truncated and self.cond2 and self.cond3
 
 
 def check_conditions(b, hilbert_degree=4):
@@ -511,18 +503,6 @@ def closed_form_kernel_8orbit_bound(e, q, field):
     return e * e * (5 * e - 1) // 2
 
 
-def one_orbit_operator_matrix(field, e, q):
-    """1 + c12 + c12 c23 on (V_x)^{(x)3} with dim V_x = e, x acting by q."""
-    q2 = field.mul(q, q)
-
-    def terms(w):
-        i, j, k = w
-        return ((w, field.one), ((j, i, k), q), ((k, i, j), q2))
-
-    words = list(itertools.product(range(e), repeat=3))
-    return operator_matrix(field, words, lambda w: _apply(field, {w: field.one}, terms))
-
-
 def general_inequality_lhs(d, e, k3, m, d1, d8):
     """LHS of the census-derived necessary inequality for many cubic relations.
 
@@ -535,10 +515,6 @@ def general_inequality_lhs(d, e, k3, m, d1, d8):
     """
     e3 = e**3
     return Fraction(24) * d1 + 12 * k3 * Fraction(d8) - e3 * k3 * k3 - 30 * e3 * k3 + e3 * m - 8 * e3 + 8 * e
-
-
-def general_inequality(d, e, k3, m, d1, d8):
-    return general_inequality_lhs(d, e, k3, m, d1, d8) >= 0
 
 
 def lemma_reduction_minus_one(e, k3, m):
@@ -586,7 +562,7 @@ def kernel_identity_terms(b):
     words2 = list(itertools.product(range(d), repeat=2))
     words3 = list(itertools.product(range(d), repeat=3))
     ker_1c = kernel_dim(f, operator_matrix(f, words2, lambda w: apply_x(b, {w: f.one}, 0, 2)))
-    ker_x3 = kernel_dim(f, operator_matrix(f, words3, lambda w: x3_apply(b, {w: f.one})))
+    ker_x3 = kernel_dim(f, operator_matrix(f, words3, lambda w: apply_x(b, {w: f.one}, 0, 3)))
     ker_s3 = kernel_dim(f, operator_matrix(
         f, words3, lambda w: symmetrizer_apply(b, 3, {w: f.one})))
     return ker_s3, d * ker_1c, ker_x3

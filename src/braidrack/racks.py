@@ -40,10 +40,6 @@ class AffineNotARack(RackError):
     pass
 
 
-class ElementNotInGroup(RackError):
-    pass
-
-
 class InnerGroupCapExceeded(RackError):
     pass
 
@@ -60,9 +56,6 @@ class Rack:
         self.table = table  # row x is the permutation phi_x
         self._phi_invs = tuple(perms.inverse(row) for row in table)
         self.name = name
-
-    def apply(self, x, y):
-        return self.table[x][y]
 
     def phi(self, x):
         return self.table[x]
@@ -113,11 +106,6 @@ def _validate(table):
             for k in range(d):
                 if ri[rj[k]] != rij[ri[k]]:
                     raise SelfDistributivityFails(i, j, k)
-
-
-def validate_rack(table, name=None):
-    """Validate a 0-based operation table and wrap it as a Rack."""
-    return Rack(table, name=name)
 
 
 def trivial_rack(d):
@@ -323,10 +311,6 @@ def components(r):
     return tuple(sorted(tuple(g) for g in groups.values()))
 
 
-def is_indecomposable(r):
-    return len(components(r)) == 1
-
-
 def is_faithful(r):
     return len(set(r.table)) == r.size
 
@@ -502,16 +486,3 @@ def _find_isomorphism(r1, r2):
     if extend(0):
         return tuple(f)
     return None
-
-
-def conjugacy_class_rack(generators, g):
-    """Rack on the conjugacy class of g under the group the generators make.
-
-    Returns (rack, labeling): labeling[i] is the permutation of the i-th
-    rack element; element 0 is g itself and the rest follow BFS discovery.
-    """
-    members, _, _ = perms.conjugacy_class(generators, g)
-    grp = perms.mulclose(generators)
-    if tuple(g) not in grp:
-        raise ElementNotInGroup("g is not in the generated group")
-    return conjugation_rack(members), members

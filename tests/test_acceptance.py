@@ -25,7 +25,7 @@ from braidrack.braiding import (
 from braidrack.fields import QQ, parse_field
 from braidrack.hurwitz import REFERENCE_SIZES, census, orbits, reference_orbit
 from braidrack.linalg import kernel_dim
-from braidrack.racks import invariants, is_isomorphic, preset
+from braidrack.racks import invariants, is_isomorphic, preset, trivial_rack
 from braidrack import perms
 
 
@@ -101,7 +101,11 @@ def test_p3_closed_form_kernels():
     for f, q in cases:
         for e in (1, 2, 3):
             want = nichols.closed_form_kernel_1orbit(e, q, f)
-            got = kernel_dim(f, nichols.one_orbit_operator_matrix(f, e, q))
+            # the one-point block with fiber dimension e: the trivial rack of size e
+            b = BraidedSpace(constant_cocycle(trivial_rack(e), f, q))
+            words = list(itertools.product(range(e), repeat=3))
+            got = kernel_dim(f, nichols.operator_matrix(
+                f, words, lambda w: nichols.apply_x(b, {w: f.one}, 0, 3)))
             ok &= want == got
     # 8-orbit bounds on every computed block
     for name, qv in (("D3", -1), ("D3", 2), ("T", -1), ("Aff(7,3)", -1), ("Aff(7,3)", 1)):

@@ -24,10 +24,15 @@ from braidrack.fields import QQ, parse_field
 from braidrack.racks import preset
 
 
+def _diagonal(c):
+    """The set of values q[x][x]."""
+    return {c.q[x][x] for x in range(c.dim)}
+
+
 def test_constant_cocycle_validates():
     c = constant_cocycle(preset("D3"), QQ, QQ.from_int(-1))
     assert c.check_yang_baxter()
-    assert c.diagonal_value() == QQ.from_int(-1)
+    assert _diagonal(c) == {QQ.from_int(-1)}
 
 
 def test_zero_scalar_rejected():
@@ -53,6 +58,16 @@ def test_cocycle_condition_fails_on_bad_table():
         table_cocycle(d3, QQ, entries)
 
 
+def test_yang_baxter_fails_exactly_where_the_cocycle_condition_does():
+    d3 = preset("D3")
+    entries = [[QQ.one] * 3 for _ in range(3)]
+    entries[1][2] = QQ.from_int(-1)
+    with pytest.raises(CocycleConditionFails) as ei:
+        table_cocycle(d3, QQ, entries)
+    assert ei.value.triple == (0, 1, 2)
+    assert Cocycle(d3, QQ, entries, _validated=True).check_yang_baxter() is False
+
+
 def test_preset_tables_are_cocycles():
     for name in ("d3char2", "t-new", "t-sign-flipped"):
         space = cocycle_preset(name)
@@ -76,9 +91,9 @@ def test_t_new_table_values():
 def test_group_model_a_and_c():
     a = transposition_model("A", 1)
     assert a.dim == 6
-    assert a.cocycle.diagonal_value() == QQ.from_int(-1)
+    assert _diagonal(a.cocycle) == {QQ.from_int(-1)}
     am = transposition_model("A", -1)
-    assert am.cocycle.diagonal_value() == QQ.from_int(-1)
+    assert _diagonal(am.cocycle) == {QQ.from_int(-1)}
     c = transposition_model("C", 1)
     assert c.dim == 10
 
@@ -97,7 +112,7 @@ def test_group_model_b():
     b = cocycle_preset("group(S4,(1234),-1)")
     assert b.dim == 6
     assert b.rack == preset("B")
-    assert b.cocycle.diagonal_value() == QQ.from_int(-1)
+    assert _diagonal(b.cocycle) == {QQ.from_int(-1)}
 
 
 def test_group_model_inconsistent_character():
@@ -146,7 +161,7 @@ def test_coboundary_twist_identity_and_condition():
 def test_diagonal_constant_for_indecomposable():
     for name in ("d3char2", "t-new"):
         space = cocycle_preset(name)
-        assert space.cocycle.diagonal_value() is not None
+        assert len(_diagonal(space.cocycle)) == 1
 
 
 def test_d3char2_preset_field_and_values():
@@ -159,7 +174,7 @@ def test_d3char2_preset_field_and_values():
 def test_minus1_preset():
     space = cocycle_preset("minus1(T)")
     assert space.dim == 4
-    assert space.cocycle.diagonal_value() == QQ.from_int(-1)
+    assert _diagonal(space.cocycle) == {QQ.from_int(-1)}
 
 
 # SHA-256 of json.dumps([name, q]), q's entries printed by the field: a

@@ -77,6 +77,30 @@ def test_relation_letter_out_of_range_is_an_error(tmp_path, capsys):
 
 
 
+def test_relation_repeating_a_word_is_an_error(tmp_path, capsys):
+    # ab - ab is the zero relation; keeping only the last term would read -ab
+    f = tmp_path / "rels.json"
+    f.write_text(json.dumps(
+        [{"terms": [{"word": "ab", "coeff": "1"}, {"word": "ab", "coeff": "-1"}]}]))
+    code = main(["nichols", "quotient", "D3", "--relations", str(f)])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert "word 'ab' appears twice in one relation" in captured.err
+
+
+@pytest.mark.parametrize("argv", [
+    ["nichols", "dims"],
+    ["nichols", "dims", "--cocycle", "minus1"],
+    ["nichols", "cubic"],
+    ["nichols", "quotient", "--relations", "d3char2"],
+])
+def test_missing_rack_is_named_in_the_error(capsys, argv):
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert "the rack argument is missing" in captured.err
+
+
 def test_degree0_relation_is_an_error(tmp_path, capsys):
     # a scalar relation makes the ideal everything; it is rejected, not ignored
     f = tmp_path / "rels.json"

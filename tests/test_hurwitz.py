@@ -10,7 +10,6 @@ from braidrack.hurwitz import (
     SymmetryCheckFailed,
     census,
     orbit,
-    orbit_isomorphic,
     orbits,
     reference_orbit,
     sigma,
@@ -98,18 +97,28 @@ def test_census_sizes_within_reference_list():
         assert set(c.counts) <= set(REFERENCE_SIZES)
 
 
+def _isomorphism(o1, o2):
+    """The map between two orbit graphs with equal canonical codes, checked
+    on every sigma edge; None when the codes differ."""
+    code1, order1 = hurwitz._canonical_code(o1)
+    code2, order2 = hurwitz._canonical_code(o2)
+    if code1 != code2:
+        return None
+    return hurwitz.order_isomorphism(o1, order1, o2, order2)
+
+
 def test_all_orbits_isomorphic_to_reference_of_their_size():
     for name in ("D3", "T", "A", "Aff(7,3)"):
         r = preset(name)
         for o in orbits(r, 3):
-            assert orbit_isomorphic(o, reference_orbit(o.size))
+            assert _isomorphism(o, reference_orbit(o.size)) is not None
 
 
 def test_same_size_orbits_isomorphic_with_witness():
     d3 = preset("D3")
     o1 = orbit(d3, (0, 0, 1))
     o2 = orbit(d3, (1, 1, 2))
-    mapping = orbit_isomorphic(o1, o2, witness=True)
+    mapping = _isomorphism(o1, o2)
     assert mapping is not None
     # the mapping must commute with both sigma generators
     for i in range(2):
@@ -123,11 +132,11 @@ def test_orbit_isomorphism_witness_is_checked(monkeypatch):
     fake = iter([((0,), list(range(8))), ((0,), list(range(1, 8)) + [0])])
     monkeypatch.setattr(hurwitz, "_canonical_code", lambda _o: next(fake))
     with pytest.raises(SymmetryCheckFailed):
-        orbit_isomorphic(o, o, witness=True)
+        _isomorphism(o, o)
 
 
 def test_different_sizes_not_isomorphic():
-    assert not orbit_isomorphic(reference_orbit(9), reference_orbit(12))
+    assert _isomorphism(reference_orbit(9), reference_orbit(12)) is None
 
 
 def test_size6_reference_acts_like_permutations():

@@ -20,12 +20,12 @@ from braidrack.linalg import kernel_dim
 from braidrack.nichols import (
     NicholsEngine,
     NotBlockDiagonal,
+    apply_x,
     check_conditions,
     closed_form_kernel_1orbit,
     closed_form_kernel_8orbit_bound,
     cubic_kernel,
     derive,
-    general_inequality,
     general_inequality_lhs,
     graded_dim_direct,
     graded_dims,
@@ -34,12 +34,10 @@ from braidrack.nichols import (
     lemma_reduction_generic,
     lemma_reduction_minus_one,
     max_k3,
-    one_orbit_operator_matrix,
     operator_matrix,
     symmetrizer_apply,
-    x3_apply,
 )
-from braidrack.racks import preset
+from braidrack.racks import preset, trivial_rack
 
 
 def minus1(name, field=None):
@@ -126,7 +124,6 @@ def test_check_conditions_d3():
     rep = check_conditions(minus1("D3"), 4)
     assert rep.dims == [1, 3, 4, 3, 1]
     assert rep.cond1_truncated and rep.cond2 and rep.cond3
-    assert rep.all_true()
     assert rep.cubic == cubic_kernel(minus1("D3"))
     assert rep.cubic.total == 9 and rep.cubic.many_cubic_threshold() == 8
 
@@ -162,7 +159,10 @@ def test_closed_form_kernel_1orbit(spec, qs, expected):
     q = f.parse(qs)
     for e, want in zip((1, 2, 3), expected):
         assert closed_form_kernel_1orbit(e, q, f) == want
-        m = one_orbit_operator_matrix(f, e, q)
+        # the one-point block with fiber dimension e: the trivial rack of size e
+        b = BraidedSpace(constant_cocycle(trivial_rack(e), f, q))
+        words = list(itertools.product(range(e), repeat=3))
+        m = operator_matrix(f, words, lambda w: apply_x(b, {w: f.one}, 0, 3))
         assert kernel_dim(f, m) == want
 
 
@@ -178,8 +178,7 @@ def test_general_inequality_specializations():
         for d8 in range(4):
             assert general_inequality_lhs(6, 1, 4, 0, d1, d8) == 24 * d1 + 48 * d8 - 136
             assert general_inequality_lhs(10, 1, 6, 0, d1, d8) == 24 * d1 + 72 * d8 - 216
-    assert general_inequality(3, 1, 2, 0, 0, 3)  # 72 - 4 - 60 + 0 = 8 >= 0
-    assert general_inequality_lhs(3, 1, 2, 0, 0, 3) == 8
+    assert general_inequality_lhs(3, 1, 2, 0, 0, 3) == 8  # 72 - 4 - 60 + 0
 
 
 def test_lemma_reductions_at_random_points():
@@ -285,9 +284,9 @@ def test_operator_matrix_off_block_raises():
     o = next(o for o in hurwitz_orbits(b.rack, 3) if o.size == 8)
     half = o.tuples[: o.size // 2]
     with pytest.raises(NotBlockDiagonal):
-        operator_matrix(b.field, half, lambda w: x3_apply(b, {w: b.field.one}))
+        operator_matrix(b.field, half, lambda w: apply_x(b, {w: b.field.one}, 0, 3))
     # the whole orbit is a block
-    assert operator_matrix(b.field, o.tuples, lambda w: x3_apply(b, {w: b.field.one})).nrows == 8
+    assert operator_matrix(b.field, o.tuples, lambda w: apply_x(b, {w: b.field.one}, 0, 3)).nrows == 8
 
 
 def test_squares_in_kernel_at_minus1():

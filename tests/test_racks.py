@@ -15,7 +15,6 @@ from braidrack.racks import (
     affine_rack,
     braided_affine_param,
     components,
-    conjugacy_class_rack,
     conjugation_rack,
     invariants,
     is_braided,
@@ -24,14 +23,13 @@ from braidrack.racks import (
     preset_labels,
     preset_names,
     trivial_rack,
-    validate_rack,
 )
 
 ALL_PRESETS = ["D3", "T", "A", "B", "C", "Aff(7,3)", "Aff(7,5)", "Aff(9,2)"]
 
 
 def test_validate_d3():
-    r = validate_rack([[0, 2, 1], [2, 1, 0], [1, 0, 2]])
+    r = Rack([[0, 2, 1], [2, 1, 0], [1, 0, 2]])
     assert r.size == 3
     assert r == preset("D3")
 
@@ -44,7 +42,7 @@ def test_trivial_rack_is_valid_and_braided():
 
 def test_row_not_permutation():
     with pytest.raises(RowNotPermutation) as ei:
-        validate_rack([[0, 0, 1], [2, 1, 0], [1, 0, 2]])
+        Rack([[0, 0, 1], [2, 1, 0], [1, 0, 2]])
     assert ei.value.row == 0
 
 
@@ -52,7 +50,7 @@ def test_self_distributivity_fails():
     # permutation rows that are not self-distributive
     table = [[0, 2, 1], [2, 1, 0], [0, 1, 2]]
     with pytest.raises(SelfDistributivityFails):
-        validate_rack(table)
+        Rack(table)
 
 
 def test_unknown_preset():
@@ -66,7 +64,7 @@ def test_conjugation_identity_on_rows(name):
     r = preset(name)
     for x in range(r.size):
         for y in range(r.size):
-            lhs = r.phi(r.apply(x, y))
+            lhs = r.phi(r.table[x][y])
             rhs = perms.compose(r.phi(x), perms.compose(r.phi(y), perms.inverse(r.phi(x))))
             assert lhs == rhs
 
@@ -170,7 +168,7 @@ def test_affine_formula():
     r = preset("Aff(7,3)")
     for x in range(7):
         for y in range(7):
-            assert r.apply(x, y) == (5 * x + 3 * y) % 7
+            assert r.table[x][y] == (5 * x + 3 * y) % 7
 
 
 def test_affine_not_braided_cases():
@@ -217,13 +215,13 @@ def test_is_isomorphic_relabelling():
     table = [[0] * 3 for _ in range(3)]
     for x in range(3):
         for y in range(3):
-            table[sigma[x]][sigma[y]] = sigma[d3.apply(x, y)]
-    r2 = validate_rack(table)
+            table[sigma[x]][sigma[y]] = sigma[d3.table[x][y]]
+    r2 = Rack(table)
     wit = is_isomorphic(d3, r2, witness=True)
     assert wit is not None
     for x in range(3):
         for y in range(3):
-            assert wit[d3.apply(x, y)] == r2.apply(wit[x], wit[y])
+            assert wit[d3.table[x][y]] == r2.table[wit[x]][wit[y]]
 
 
 def test_non_isomorphic_pairs():
@@ -251,49 +249,26 @@ def test_isomorphism_transitive_on_relabellings():
         table = [[0] * 6 for _ in range(6)]
         for x in range(6):
             for y in range(6):
-                table[sigma[x]][sigma[y]] = sigma[base.apply(x, y)]
-        versions.append(validate_rack(table))
+                table[sigma[x]][sigma[y]] = sigma[base.table[x][y]]
+        versions.append(Rack(table))
     r1, r2, r3 = versions
     assert is_isomorphic(r1, r2) and is_isomorphic(r2, r3) and is_isomorphic(r1, r3)
 
 
-def test_conjugacy_class_racks():
-    s4 = [perms.from_cycles(4, [(0, 1)]), perms.from_cycles(4, [(0, 1, 2, 3)])]
-    r, labeling = conjugacy_class_rack(s4, perms.from_cycles(4, [(0, 1)]))
-    assert r.size == 6
-    assert is_isomorphic(r, preset("A"))
-    r2, _ = conjugacy_class_rack(s4, perms.from_cycles(4, [(0, 1, 2, 3)]))
-    assert r2.size == 6
-    assert is_isomorphic(r2, preset("B"))
-    a4 = [perms.from_cycles(4, [(0, 1, 2)]), perms.from_cycles(4, [(1, 2, 3)])]
-    r3, _ = conjugacy_class_rack(a4, perms.from_cycles(4, [(1, 2, 3)]))
-    assert r3.size == 4
-    assert is_isomorphic(r3, preset("T"))
-
-
 def test_conjugacy_class_rack_labeling_consistent():
-    s4 = [perms.from_cycles(4, [(0, 1)]), perms.from_cycles(4, [(0, 1, 2, 3)])]
-    r, labeling = conjugacy_class_rack(s4, perms.from_cycles(4, [(0, 1)]))
-    for x in range(r.size):
-        for y in range(r.size):
-            conj = perms.compose(
-                labeling[x], perms.compose(labeling[y], perms.inverse(labeling[x]))
-            )
-            assert labeling[r.apply(x, y)] == conj
-
-
-def test_conjugacy_class_rack_rejects_outsiders():
-    from braidrack.racks import ElementNotInGroup
-
-    a4 = [perms.from_cycles(4, [(0, 1, 2)]), perms.from_cycles(4, [(1, 2, 3)])]
-    with pytest.raises(ElementNotInGroup):
-        conjugacy_class_rack(a4, perms.from_cycles(4, [(0, 1)]))
+    for name in CLASS_GROUPS:
+        labels = preset_labels(name)
+        r = conjugation_rack(labels)
+        for x in range(r.size):
+            for y in range(r.size):
+                conj = perms.compose(labels[x], perms.compose(labels[y], perms.inverse(labels[x])))
+                assert labels[r.table[x][y]] == conj
 
 
 def test_components_of_disjoint_union():
     # disjoint union of two trivial racks of sizes 2 and 1: decomposable
     t = [[y for y in range(3)] for _ in range(3)]
-    r = validate_rack(t)
+    r = Rack(t)
     assert len(components(r)) == 3
     inv = invariants(r)
     assert not inv.is_indecomposable
@@ -328,5 +303,5 @@ def test_relabelled_preset_always_isomorphic(sigma):
     table = [[0] * 6 for _ in range(6)]
     for x in range(6):
         for y in range(6):
-            table[sigma[x]][sigma[y]] = sigma[base.apply(x, y)]
-    assert is_isomorphic(base, validate_rack(table))
+            table[sigma[x]][sigma[y]] = sigma[base.table[x][y]]
+    assert is_isomorphic(base, Rack(table))

@@ -1,3 +1,5 @@
+import json
+import pathlib
 import threading
 import time
 from fractions import Fraction
@@ -158,3 +160,14 @@ def test_verify_paper_accepts_no_worker_count():
     for threads in (0, 2, 4):
         with pytest.raises(ValueError):
             verify.verify_paper("quick", threads=threads)
+
+
+def test_quick_profile_matches_the_pinned_reference():
+    # the benchmark's pin of every quick entry, compared after the same JSON
+    # round trip its check makes; the file is only read
+    path = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "reference.json"
+    ref = json.loads(path.read_text())["quick"]
+    rep = verify.verify_paper("quick")
+    entries = json.loads(json.dumps(rep.to_payload()["entries"], default=str))
+    assert len(ref) == 45
+    assert [[e["section"], e["name"], e["computed"]] for e in entries] == ref
