@@ -210,8 +210,10 @@ def cmd_nichols_quotient(args):
     b = _load_space(args.rack, args.cocycle, args.field)
     rels = _load_relations(args.relations, b.field, b.dim)
     p = presentations.Presentation(b, rels)
-    dims = presentations.quotient_dims(p, args.max_degree)
-    payload = {"dims": dims, "total": sum(dims)}
+    eng = presentations.QuotientEngine(p)
+    dims = eng.dims(args.max_degree)
+    # [relation index, degree m] for each relation skipped after degree m
+    payload = {"dims": dims, "total": sum(dims), "retired": [list(r) for r in eng.retired.items()]}
     _emit(payload, args.format,
           table_rows=list(enumerate(dims)), header=("degree", "dim"))
     return EXIT_OK

@@ -298,9 +298,10 @@ def _poly_text(base, coeffs):
 class QuotientRing(Field):
     """base[t] / (modulus).  Used as a field when the modulus is irreducible.
 
-    Irreducibility is verified for modulus degree <= 3 (no roots in the base);
-    higher degrees are accepted with ``irreducible_assumed`` recorded, and any
-    zero divisor met during inversion raises NotAField.  Elements are tuples
+    Irreducibility is verified over a prime field by Rabin's test at every
+    degree, and over QQ for degree <= 3 (no rational roots); higher degrees
+    over QQ are accepted with ``irreducible_assumed`` recorded, and any zero
+    divisor met during inversion raises NotAField.  Elements are tuples
     of base scalars; a subclass may store them otherwise and override the
     arithmetic, ``zero``/``one``/``gen`` and ``coefficients``.
     """
@@ -331,20 +332,24 @@ class QuotientRing(Field):
         self.irreducible_assumed = self._check_irreducible()
 
     def _check_irreducible(self):
-        """Whether irreducibility is assumed, unchecked: for degree > 3.
+        """Whether irreducibility is assumed, unchecked: over QQ, for degree > 3.
 
-        A modulus of degree 2 or 3 with a root in the base raises FieldError.
+        A reducible modulus over a prime field, or one of degree 2 or 3 with
+        a rational root, raises FieldError.
         """
         if self.degree == 1:
             return False
+        if isinstance(self.base, PrimeField):
+            if not self._rabin():
+                raise FieldError(
+                    "modulus %s is reducible over %s"
+                    % (_poly_text(self.base, self.modulus), self.base.spec_string())
+                )
+            return False
         if self.degree > 3:
             return True
-        # degree 2 or 3: irreducible over the base iff it has no root there
-        if isinstance(self.base, PrimeField):
-            candidates = self.base.elements()
-        else:
-            candidates = self._rational_root_candidates()
-        for c in candidates:
+        # degree 2 or 3: irreducible over QQ iff it has no rational root
+        for c in self._rational_root_candidates():
             acc = self.base.zero
             for coef in reversed(self.modulus):
                 acc = self.base.add(self.base.mul(acc, c), coef)
@@ -355,6 +360,25 @@ class QuotientRing(Field):
                        self.base.to_str(c))
                 )
         return False
+
+    def _rabin(self):
+        """Rabin's test over Fp: the modulus f of degree n is irreducible iff
+        t^(p^n) = t mod f and gcd(t^(p^(n/l)) - t, f) = 1 for each prime l | n."""
+        p, n = self.base.p, self.degree
+        frob = [self.gen]  # frob[k] = t^(p^k) mod f
+        for _ in range(n):
+            frob.append(self.pow(frob[-1], p))
+        if frob[n] != self.gen:
+            return False
+        for l in range(2, n + 1):
+            if n % l == 0 and _is_prime(l):
+                g = self.sub(frob[n // l], self.gen)
+                # a common factor with f is a zero divisor, and so is 0
+                try:
+                    self.inv(g)
+                except (NotAField, ZeroDivisionError):
+                    return False
+        return True
 
     def _rational_root_candidates(self):
         # monic over QQ: clear denominators, then any rational root of the

@@ -2,9 +2,11 @@
 
 A presentation is a braided space together with homogeneous relation
 vectors (sparse dicts word -> scalar).  The quotient T(V)/(relations) is
-built degree by degree: degree n is V (x) A_{n-1} modulo the image of all
+built degree by degree: degree n is V (x) A_{n-1} modulo the image of the
 relations placed at the left edge, which together with the recursion
-covers the whole ideal component.
+covers the whole ideal component.  A relation that adds no row in some
+degree is implied there by V (x) I and the relations before it, and so in
+every later degree; it is retired (see :class:`QuotientEngine`).
 """
 from __future__ import annotations
 
@@ -45,19 +47,36 @@ class QuotientEngine(GradedEngine):
     r of degree g and basis words b of degree n - g, which equals the full
     ideal component.  In each grade block the candidates at the pivots of
     those vectors are eliminated and the others become basis words.
+
+    A relation is retired after the first degree m at which none of its
+    placements became a row, and ``retired[i] = m`` records it for the
+    relation of index i.  Vectors enter each block's elimination in
+    relation-list order, so there every r * b reduced to zero in candidate
+    coordinates, which already quotient out V (x) I_{m-1}, against the
+    placements at m of lower-index relations.  Every word u of degree
+    m - g is a sum of basis words modulo I, and r * I lies in V (x) I_{m-1},
+    so r * T_{m-g} lies in V (x) I_{m-1} plus those placements.  Multiplying
+    on the right, for every n > m, r * T_{n-g} lies in V (x) I_{n-1} plus
+    the placements at n of lower-index relations.  A retired lower-index
+    relation reduces the same way, and the induction on the index ends at
+    relations that are not retired, so skipping r keeps every ideal
+    component.  A fully reduced echelon with least-key pivots depends only
+    on its span, so basis and nfmul are those of the engine that places
+    every relation.  This is the one-sided case of Bergman's diamond-lemma
+    overlap reduction (G. M. Bergman, Adv. Math. 29 (1978)).
     """
 
     def __init__(self, presentation):
         super().__init__(presentation.space)
         self.p = presentation
-        self.rels_by_degree = {}
+        self.rel_degrees = []
         for r in presentation.relations:
-            n = len(next(iter(r)))
-            self.rels_by_degree.setdefault(n, []).append(r)
+            self.rel_degrees.append(len(next(iter(r))))
             self._check_relation_grade(r)
-        low = min(self.rels_by_degree, default=2)
+        low = min(self.rel_degrees, default=2)
         if low < 2:
             raise NotHomogeneous("degree-%d relations are not supported" % low)
+        self.retired = {}
 
     def _check_relation_grade(self, r):
         grades = {self.grading.of_word(w) for w in r}
@@ -66,21 +85,28 @@ class QuotientEngine(GradedEngine):
                 "relation is not grade-homogeneous; split it by group degree"
             )
 
+    def _build_degree(self, n):
+        # the relations placed at n; _reduce_block strikes each that makes a row
+        self._idle = set()
+        super()._build_degree(n)
+        for i in sorted(self._idle):
+            self.retired[i] = n
+
     def _block_vectors(self, n, blocks):
-        """The ideal vectors pi(r * b) in candidate coordinates, by grade."""
+        """(relation index, pi(r * b)) in candidate coordinates, by grade."""
         nb = len(self.basis[n - 1])
         vectors = {}
-        for g_deg, rels in self.rels_by_degree.items():
-            tail_deg = n - g_deg
-            if tail_deg < 0:
+        for i, r in enumerate(self.p.relations):
+            tail_deg = n - self.rel_degrees[i]
+            if tail_deg < 0 or i in self.retired:
                 continue
-            for r in rels:
-                for bidx in range(len(self.basis[tail_deg])):
-                    vec = self._place_relation(r, tail_deg, bidx, nb)
-                    if vec:
-                        y, j = divmod(next(iter(vec)), nb)
-                        g = self.grading.lmul(y, self.grades[n - 1][j])
-                        vectors.setdefault(g, []).append(vec)
+            self._idle.add(i)
+            for bidx in range(len(self.basis[tail_deg])):
+                vec = self._place_relation(r, tail_deg, bidx, nb)
+                if vec:
+                    y, j = divmod(next(iter(vec)), nb)
+                    g = self.grading.lmul(y, self.grades[n - 1][j])
+                    vectors.setdefault(g, []).append((i, vec))
         return vectors
 
     def _place_relation(self, r, tail_deg, bidx, nb):
@@ -97,8 +123,11 @@ class QuotientEngine(GradedEngine):
         f = self.f
         nb = len(self.basis[n - 1])
         ideal = Echelon(f)
-        for vec in vectors:
-            ideal.add(vec)
+        for i, vec in vectors:
+            ideal.reduce(vec)
+            if vec:
+                ideal.insert(vec)
+                self._idle.discard(i)
         index = {}
         for y, j in cands:
             if y * nb + j not in ideal.rows:

@@ -154,6 +154,24 @@ def test_nichols_quotient_preset_relations(capsys):
     assert json.loads(out)["dims"] == [1, 3, 7, 12, 18, 24, 29]
 
 
+def test_nichols_quotient_reports_retired_relations(capsys):
+    args = ("nichols", "quotient", "--cocycle", "d3char2", "--relations", "d3char2",
+            "--max-degree", "21")
+    code, out = run(capsys, "--format", "json", *args)
+    assert code == 0
+    data = json.loads(out)
+    assert data["total"] == 432
+    # [relation index, last degree placed]: ccc at 4, bbb at 7, the
+    # degree-12 relation at 13, aaa at 17 and the second 2-relation at 21
+    assert data["retired"] == [[4, 4], [3, 7], [5, 13], [2, 17], [1, 21]]
+    # the table lists only the dims
+    code, out = run(capsys, *args)
+    assert code == 0
+    lines = out.splitlines()
+    assert lines[0].split() == ["degree", "dim"] and len(lines) == 23
+    assert "retired" not in out
+
+
 def test_nichols_quotient_relations_file(tmp_path, capsys):
     rels = [
         {"degree": 2, "terms": [{"word": "ab", "coeff": "1"}, {"word": "bc", "coeff": "q^2"}, {"word": "ca", "coeff": "q"}]},

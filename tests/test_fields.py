@@ -10,7 +10,6 @@ from braidrack.fields import (
     QQ,
     Field,
     FieldError,
-    NotAField,
     QuadraticRationalField,
     QuotientRing,
     RationalField,
@@ -74,16 +73,50 @@ def test_reducible_modulus_rejected():
 
 
 def test_zero_divisor_detected_on_inversion():
-    # t^2+2t+1 = (t+1)^2 over Fp(5): degree-2 root scan rejects it up front
+    # t^2+2t+1 = (t+1)^2 over Fp(5): Rabin's test rejects it up front
     with pytest.raises(FieldError):
         QuotientRing(GF(5), [1, 2, 1])
-    # degree-4 reducible modulus is accepted with a flag, then inversion fails
-    f = QuotientRing(GF(5), [1, 0, 2, 0, 1])  # (t^2+1)^2 mod 5... reducible
-    assert f.irreducible_assumed
-    bad = f.add(f.mul(f.gen, f.gen), f.one)  # t^2 + 1, a zero divisor
-    with pytest.raises(NotAField) as ei:
-        f.inv(bad)
-    assert ei.value.zero_divisor is not None
+    # so does the quartic (t^2+1)^2, which has no root mod 5; inversion
+    # meeting a zero divisor is covered over QQ[t]/(t^4-1) in test_linalg
+    with pytest.raises(FieldError):
+        QuotientRing(GF(5), [1, 0, 2, 0, 1])
+
+
+def _has_factor(p, f):
+    """Brute force: whether the monic f (lowest power first) over Fp(p) has a
+    monic factor of degree 1 .. deg(f) // 2."""
+    n = len(f) - 1
+    for d in range(1, n // 2 + 1):
+        for low in range(p ** d):
+            g = [(low // p ** i) % p for i in range(d)] + [1]
+            rem = list(f)
+            for i in range(n, d - 1, -1):
+                c = rem[i]
+                for j in range(d + 1):
+                    rem[i - d + j] = (rem[i - d + j] - c * g[j]) % p
+            if not any(rem):
+                return True
+    return False
+
+
+@pytest.mark.parametrize("p", [2, 3])
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_rabin_matches_brute_force(p, n):
+    for low in range(p ** n):
+        f = [(low // p ** i) % p for i in range(n)] + [1]
+        if _has_factor(p, f):
+            with pytest.raises(FieldError):
+                QuotientRing(GF(p), f)
+        else:
+            assert QuotientRing(GF(p), f).irreducible_assumed is False
+
+
+def test_reducible_quartics_over_fp_rejected():
+    # (t^2+t+1)^2 over Fp(2) and (t^2+1)^2 over Fp(5): no roots, yet reducible
+    for spec in ("Fp(2)[t]/(t^4+t^2+1)", "Fp(5)[t]/(t^4+2*t^2+1)"):
+        with pytest.raises(FieldError):
+            parse_field(spec)
+    assert parse_field("Fp(2)[t]/(t^4+t+1)").irreducible_assumed is False
 
 
 def _elems(f, n):

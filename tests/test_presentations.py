@@ -1,7 +1,10 @@
+import hashlib
+import random
+
 import pytest
 
-from braidrack.braiding import BraidedSpace, cocycle_preset, constant_cocycle
-from braidrack.fields import QQ
+from braidrack.braiding import BraidedSpace, cocycle_preset, constant_cocycle, table_cocycle
+from braidrack.fields import GF, QQ, parse_field
 from braidrack.hilbert import expand_product
 from braidrack.nichols import (
     NicholsEngine,
@@ -144,3 +147,98 @@ def test_relation_presets_name_their_cocycle_preset():
         assert len(integral) == len(chain)
     with pytest.raises(KeyError):
         integral_preset("d3-char2")
+
+
+class _PlaceEveryRelation(QuotientEngine):
+    """The reference engine: every relation is placed in every degree."""
+
+    def _build_degree(self, n):
+        super()._build_degree(n)
+        self.retired.clear()
+
+
+def _graded_data(eng, up_to):
+    return eng.dims(up_to), eng.basis, eng.nfmul
+
+
+def _t_new_mod7():
+    """The t-new presentation over Fp(7), with the generator t sent to 2."""
+    exact = parse_field("QQ[t]/(t^2+t+1)")
+    F = GF(7)
+
+    def to_fp(c):
+        c0, c1 = (F.parse(str(x)) for x in exact.coefficients(c))
+        return F.add(c0, F.mul(2, c1))
+
+    pre = cocycle_preset("t-new", exact)
+    values = [[to_fp(v) for v in row] for row in pre.cocycle.q]
+    space = BraidedSpace(table_cocycle(pre.rack, F, values, name="t-new-mod7"))
+    rels = [{w: to_fp(c) for w, c in r.items()} for r in t_new_relations(exact)]
+    return Presentation(space, rels)
+
+
+def test_retirement_keeps_the_d3_char2_quotient():
+    space, rels, _, _ = integral_preset("d3char2")
+    p = Presentation(space, rels)
+    eng = QuotientEngine(p)
+    assert _graded_data(eng, 21) == _graded_data(_PlaceEveryRelation(p), 21)
+    assert eng.retired
+
+
+def test_retirement_keeps_the_t_new_quotient_over_f7():
+    p = _t_new_mod7()
+    eng = QuotientEngine(p)
+    assert _graded_data(eng, 12) == _graded_data(_PlaceEveryRelation(p), 12)
+    # the degree-6 relation makes rows only in its own degree
+    assert eng.retired[8] == 7
+
+
+@pytest.mark.parametrize("seed", [0, 1, 4, 5, 7])
+def test_retirement_keeps_shuffled_relation_lists(seed):
+    # a preset's relations in a random order, from seed % 4 > 1 on with one
+    # relation of degree > 2 dropped; each seed retires some relation
+    name, top = ("d3char2", 21) if seed % 2 else ("t-new", 9)
+    space, rels, _, _ = integral_preset(name)
+    rng = random.Random(seed)
+    picked = rng.sample(rels, len(rels))
+    if seed % 4 > 1:
+        picked.remove(rng.choice([r for r in picked if len(next(iter(r))) > 2]))
+    p = Presentation(space, picked)
+    eng = QuotientEngine(p)
+    assert _graded_data(eng, top) == _graded_data(_PlaceEveryRelation(p), top)
+    assert eng.retired
+
+
+def test_redundant_relations_are_retired():
+    space, rels, _, _ = integral_preset("d3char2")
+    f = space.field
+    r0, r1 = rels[0], rels[1]
+    cube = dict(rels[2])  # a copy of aaa
+    r0a = {w + (0,): c for w, c in r0.items()}
+    # r0 * a + r1 * b: the two 2-relations' right multiples of one grade
+    mixed = dict(r0a)
+    f.axpy(mixed, {w + (1,): c for w, c in r1.items()}, f.one)
+    forced = [dict(r0)] + rels + [cube, r0a, mixed]
+    eng = QuotientEngine(Presentation(space, forced))
+    expected = quotient_dims(Presentation(space, rels), 21)
+    assert eng.dims(21) == expected
+    n = len(forced)
+    # the original r0 now follows its copy, and the appended three follow
+    # the relations they are built from
+    assert eng.retired[1] == 2
+    assert eng.retired[n - 3] == 3
+    assert eng.retired[n - 2] == 3
+    assert eng.retired[n - 1] == 3
+
+
+def test_d3_char2_quotient_digest_is_pinned():
+    # sha256 over repr of (n, basis[n], sorted nfmul[n]) for every degree
+    space, rels, _, _ = integral_preset("d3char2")
+    eng = QuotientEngine(Presentation(space, rels))
+    eng.dims(21)
+    data = [
+        (n, eng.basis[n], sorted((k, sorted(v.items())) for k, v in eng.nfmul[n].items()))
+        for n in sorted(eng.nfmul)
+    ]
+    digest = hashlib.sha256(repr(data).encode()).hexdigest()
+    assert digest == "f9cade576f3608d3dc6272341d495fd4919ab9628fdfae74b03258d0d1e1c43f"
