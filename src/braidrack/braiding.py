@@ -234,12 +234,19 @@ def _sign_pattern_tetrahedral(field, q):
     ]
 
 
+def _field_with_q(name, field, default):
+    """``field``, or the field of spec ``default``: a quotient ring, whose
+    generator is the preset's q."""
+    fld = field or parse_field(default)
+    if not isinstance(fld, QuotientRing):
+        raise CocycleError("%s needs a quotient-ring field containing q" % name)
+    return fld
+
+
 def cocycle_preset(name, field=None):
     """Named cocycles.  Returns a BraidedSpace."""
     if name == "d3char2":
-        fld = field or parse_field("Fp(2)[t]/(t^2+t+1)")
-        if not isinstance(fld, QuotientRing):
-            raise CocycleError("d3char2 needs a quotient-ring field containing q")
+        fld = _field_with_q(name, field, "Fp(2)[t]/(t^2+t+1)")
         return BraidedSpace(
             table_cocycle(
                 preset("D3"),
@@ -249,7 +256,7 @@ def cocycle_preset(name, field=None):
             )
         )
     if name == "t-new":
-        fld = field or parse_field("QQ[t]/(t^2+t+1)")
+        fld = _field_with_q(name, field, "QQ[t]/(t^2+t+1)")
         return BraidedSpace(
             table_cocycle(
                 preset("T"), fld, _sign_pattern_tetrahedral(fld, fld.gen), name="t-new"

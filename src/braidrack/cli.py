@@ -33,14 +33,20 @@ def _load_rack(arg):
 
 
 def _load_space(rack_arg, cocycle_arg, field_spec):
-    if cocycle_arg and os.path.exists(cocycle_arg):
-        with open(cocycle_arg) as fh:
-            data = json.load(fh)
-        r = _load_rack(data["rack"])
-        fld = parse_field(data["field"])
-        entries = [[fld.parse(v) for v in row] for row in data["values"]]
-        return BraidedSpace(table_cocycle(r, fld, entries))
-    if cocycle_arg and cocycle_arg not in ("minus1",):
+    # a cocycle file or preset brings its own rack; "minus1" takes the argument's
+    if cocycle_arg and (cocycle_arg != "minus1" or os.path.exists(cocycle_arg)):
+        if rack_arg is not None:
+            raise ValueError(
+                "--cocycle %s fixes its own rack, so the rack argument %s would be "
+                "ignored: give one of them" % (cocycle_arg, rack_arg)
+            )
+        if os.path.exists(cocycle_arg):
+            with open(cocycle_arg) as fh:
+                data = json.load(fh)
+            r = _load_rack(data["rack"])
+            fld = parse_field(data["field"])
+            entries = [[fld.parse(v) for v in row] for row in data["values"]]
+            return BraidedSpace(table_cocycle(r, fld, entries))
         fld = parse_field(field_spec) if field_spec else None
         return cocycle_preset(cocycle_arg, field=fld)
     if rack_arg is None:

@@ -7,6 +7,7 @@ of (n, r) pairs with n None for the infinite factor.
 """
 from __future__ import annotations
 
+import itertools
 from collections import Counter
 
 # factorizations returns at most this many candidates
@@ -87,7 +88,7 @@ def factorizations(series, trunc):
     Factors are (n, 1) and (n, 2) with 2 <= n <= trunc, plus tail factors
     (None, 1) / (None, 2) standing for (infinity)_{t^r} or any (n)_{t^r}
     too deep for the truncation to distinguish.  Returns a list of sorted
-    factor lists; empty when none match.
+    factor lists, at most ``MAX_SOLUTIONS`` of them; empty when none match.
     """
     exps = product_exponents(series, trunc)
     if exps is None:
@@ -96,76 +97,46 @@ def factorizations(series, trunc):
     #   (n)_t,   n <= trunc: +1 at k=n, -1 at k=1
     #   (n)_t2, 2n <= trunc: +1 at k=2n, -1 at k=2
     #   tail (None, 1): -1 at k=1;  tail (None, 2): -1 at k=2
-    for k, c in exps.items():
-        if k >= 3 and c < 0:
-            return []
+    # so c_k, k >= 3, counts (k)_t plus, for even k, (k/2)_{t^2}; the split
+    # of each even c_k and the (None, 2) count fix every other count, and
+    # the two tails always add up to -(sum of all c_k).
+    if any(c < 0 for k, c in exps.items() if k >= 3):
+        return []
+    evens = [k for k in sorted(exps) if k >= 4 and k % 2 == 0]
+    tails = -sum(exps.values())
+    choices = [range(exps[k] + 1) for k in evens] + [range(tails + 1)]
     solutions = []
-    evens = [k for k in range(4, trunc + 1, 2) if exps.get(k, 0)]
-    odd_a = {k: exps.get(k, 0) for k in range(3, trunc + 1, 2)}
-
-    def assign(idx, a_counts, b_counts):
-        if len(solutions) >= MAX_SOLUTIONS:
-            return
-        if idx == len(evens):
-            _close_solution(a_counts, b_counts)
-            return
-        k = evens[idx]
-        c = exps.get(k, 0)
-        for bk in range(0, c + 1):
-            a2 = dict(a_counts)
-            b2 = dict(b_counts)
-            if c - bk:
-                a2[k] = c - bk
-            if bk:
-                b2[k // 2] = bk
-            assign(idx + 1, a2, b2)
-
-    def _close_solution(a_counts, b_counts):
-        a_counts = dict(a_counts)
-        for k, c in odd_a.items():
-            if c:
-                a_counts[k] = c
-        c1 = exps.get(1, 0)
-        c2 = exps.get(2, 0)
-        total_b = sum(b_counts.values())
-        # c2 = a_2 - total_b - tail2  and  c1 = -(sum a_n) - tail1
-        max_a2 = -c1 - sum(a_counts.values())
-        min_a2 = max(0, c2 + total_b)
-        for a2v in range(min_a2, max_a2 + 1):
-            tail2 = a2v - c2 - total_b
-            tail1 = -c1 - sum(a_counts.values()) - a2v
-            if tail2 < 0 or tail1 < 0:
-                continue
-            factors = []
-            for k, c in sorted(a_counts.items()):
-                factors += [(k, 1)] * c
-            if a2v:
-                factors += [(2, 1)] * a2v
-            for k, c in sorted(b_counts.items()):
-                factors += [(k, 2)] * c
-            factors += [(None, 1)] * tail1
-            factors += [(None, 2)] * tail2
-            factors.sort(key=lambda f: (f[1], f[0] is None, f[0] or 0))
-            if factors not in solutions:
-                solutions.append(factors)
-            if len(solutions) >= MAX_SOLUTIONS:
-                return
-
-    assign(0, {}, {})
+    for *halves, tail2 in itertools.product(*choices):
+        twos = exps.get(2, 0) + sum(halves) + tail2
+        if twos < 0:
+            continue
+        factors = [(2, 1)] * twos + [(None, 1)] * (tails - tail2) + [(None, 2)] * tail2
+        half = dict(zip(evens, halves))
+        for k, c in exps.items():
+            if k >= 3:
+                factors += [(k, 1)] * (c - half.get(k, 0))
+        for k, c in half.items():
+            factors += [(k // 2, 2)] * c
+        factors.sort(key=_factor_key)
+        solutions.append(factors)
+        if len(solutions) == MAX_SOLUTIONS:
+            break
     # keep only factorizations that really reproduce the series
-    checked = []
-    for f in solutions:
-        if expand_product(f, trunc) == list(series[: trunc + 1]):
-            checked.append(f)
-    return checked
+    want = list(series[: trunc + 1])
+    return [f for f in solutions if expand_product(f, trunc) == want]
+
+
+def _factor_key(factor):
+    """Sort (n)_t before (n)_{t^2}, each by n with the tail last."""
+    n, r = factor
+    return r, n is None, n or 0
 
 
 def format_factorization(factors):
     counts = Counter(factors)
     parts = []
-    for (n, r), c in sorted(
-        counts.items(), key=lambda kv: (kv[0][1], kv[0][0] is None, kv[0][0] or 0)
-    ):
+    for n, r in sorted(counts, key=_factor_key):
+        c = counts[n, r]
         base = "(%s)_{t%s}" % ("inf" if n is None else n, "^2" if r == 2 else "")
         parts.append(base + ("^%d" % c if c > 1 else ""))
     return " ".join(parts)

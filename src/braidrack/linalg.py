@@ -3,8 +3,8 @@
 Matrices are row-sparse: a list of dicts column -> scalar, with no explicit
 zeros; the field's own ``axpy`` adds a multiple of one to another.  There
 is one elimination, :class:`Echelon`: Gaussian elimination over the field
-into fully reduced rows.  Both graded engines, kernels and every rank use
-it.
+into fully reduced rows, one kind of row with no side data.  Both graded
+engines, kernels and every rank use it.
 """
 from __future__ import annotations
 
@@ -33,54 +33,43 @@ class Echelon:
     ``rows`` maps each pivot to its row: the row is 1 at the pivot, which is
     its least key, and 0 at every other row's pivot.  Because the rows stay
     fully reduced, one pass over a vector's keys clears every pivot of it.
-    A row may carry a tag (any sparse dict) that follows it through every
-    row operation, so the tags record how rows combine from their sources.
+    A key that is never a pivot is never cleared: the row operations just
+    carry it along.  ``NicholsEngine`` keeps there, at keys past every
+    derivation key, how each row combines from the vectors it inserted.
     """
 
     def __init__(self, field):
         self.field = field
         self.rows = {}
-        self.tags = {}
 
-    def reduce(self, vec, expr=None):
-        """Subtract rows from ``vec`` (in place) until it has no pivot key.
-
-        With ``expr``, each subtracted row's tag is subtracted from it with
-        the same factor: when every row is its tag applied to some source
-        vectors, ``vec`` minus ``expr`` applied to them stays fixed.
-        """
+    def reduce(self, vec):
+        """Subtract rows from ``vec`` (in place) until it has no pivot key."""
         rows, neg, axpy = self.rows, self.field.neg, self.field.axpy
         for key in [k for k in vec if k in rows]:
-            c = neg(vec[key])
-            axpy(vec, rows[key], c)
-            if expr is not None:
-                axpy(expr, self.tags[key], c)
+            axpy(vec, rows[key], neg(vec[key]))
 
-    def insert(self, vec, tag=None):
+    def insert(self, vec):
         """Add a reduced nonzero ``vec`` as a row, reducing the others by it."""
         f = self.field
         axpy = f.axpy
         piv = min(vec)
         inv = f.inv(vec[piv])
         row = {k: f.mul(v, inv) for k, v in vec.items()}
-        if tag is not None:
-            tag = {k: f.mul(v, inv) for k, v in tag.items()}
-        for p, other in self.rows.items():
+        for other in self.rows.values():
             c = other.get(piv)
             if c is not None:
-                c = f.neg(c)
-                axpy(other, row, c)
-                if tag is not None:
-                    axpy(self.tags[p], tag, c)
+                axpy(other, row, f.neg(c))
         self.rows[piv] = row
-        if tag is not None:
-            self.tags[piv] = tag
 
     def add(self, vec):
-        """Reduce ``vec`` (in place) and keep it as a row unless it vanishes."""
+        """Reduce ``vec`` (in place) and keep it as a row unless it vanishes.
+
+        Returns whether it was kept.
+        """
         self.reduce(vec)
         if vec:
             self.insert(vec)
+        return bool(vec)
 
 
 def echelon(field, rows):

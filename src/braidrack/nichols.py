@@ -250,10 +250,6 @@ class GradedEngine:
             self.extend(n)
         return [len(self.basis[n]) for n in range(up_to + 1)]
 
-    def dim(self, n):
-        self.extend(n)
-        return len(self.basis[n])
-
     def extend(self, up_to):
         n = max(self.basis) + 1
         while n <= up_to:
@@ -357,24 +353,33 @@ class NicholsEngine(GradedEngine):
         f = self.f
         nb = len(self.basis[n - 1])
         dm = self.dmat[n]
+        # a row holds at key top + i its coefficient on the derivation vector
+        # of basis word i; every derivation key is below top, so these keys
+        # are never pivots and the row operations carry them along
+        top = self.b.dim * nb
+        # key top + i -> i: nfmul's dicts then share one int per basis word,
+        # where k - top would allocate an int for each entry past 256
+        index = {}
         ech = Echelon(f)
-        # each row's tag expresses it in the derivation vectors of basis words
         for cand, vec in zip(cands, vectors):
             rest = dict(vec)
-            expr = {}
-            ech.reduce(rest, expr)
-            if rest:
+            ech.reduce(rest)
+            if min(rest, default=top) < top:
                 i = self._new_word(n, cand, grade)
                 for col in dm:
                     col.append({})
                 for key, c in vec.items():
                     x, i1 = divmod(key, nb)
                     dm[x][i][i1] = c
-                expr[i] = f.one
-                ech.insert(rest, expr)
+                key = top + i
+                index[key] = i
+                # set after reduce; set before, it would precede the keys reduce
+                # adds, which reorders (but does not change) nfmul's dicts
+                rest[key] = f.one
+                ech.insert(rest)
             else:
-                # dependent: its class is -(expr) combination of chosen words
-                self.nfmul[n][cand] = {i: f.neg(c) for i, c in expr.items()}
+                # dependent: rest is minus its class in the chosen words
+                self.nfmul[n][cand] = {index[k]: f.neg(c) for k, c in rest.items()}
 
 
 def graded_dims(b, up_to):

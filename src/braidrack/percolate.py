@@ -195,10 +195,11 @@ def minimal_plague_cached(o):
 def immunity_table(r):
     """Map orbit size -> PlagueResult over all 3-orbits of a braided rack.
 
-    One exact search per isomorphism class; orbits of equal size are checked
-    to be isomorphic (they share a canonical code), so a same-size orbit
-    with a different minimal plague size would surface as a second class and
-    raises ImmunityMismatch.
+    One exact search per isomorphism class of orbit graphs (the search is
+    cached by canonical code).  Orbits of equal size are not checked to be
+    isomorphic: the table keeps the first one's result, and only the minimal
+    plague sizes of the others are compared with it; a different size raises
+    ImmunityMismatch.
     """
     table = {}
     for o in orbits(r, 3):

@@ -124,9 +124,7 @@ class QuotientEngine(GradedEngine):
         nb = len(self.basis[n - 1])
         ideal = Echelon(f)
         for i, vec in vectors:
-            ideal.reduce(vec)
-            if vec:
-                ideal.insert(vec)
+            if ideal.add(vec):
                 self._idle.discard(i)
         index = {}
         for y, j in cands:

@@ -171,6 +171,13 @@ def test_d3char2_preset_field_and_values():
     assert all(v == F.gen for row in space.cocycle.q for v in row)
 
 
+@pytest.mark.parametrize("name", ["d3char2", "t-new"])
+@pytest.mark.parametrize("spec", ["QQ", "Fp(7)"])
+def test_quotient_ring_presets_reject_a_field_without_q(name, spec):
+    with pytest.raises(CocycleError, match="%s needs a quotient-ring field" % name):
+        cocycle_preset(name, parse_field(spec))
+
+
 def test_minus1_preset():
     space = cocycle_preset("minus1(T)")
     assert space.dim == 4

@@ -101,6 +101,30 @@ def test_missing_rack_is_named_in_the_error(capsys, argv):
     assert "the rack argument is missing" in captured.err
 
 
+@pytest.mark.parametrize("command", [
+    ["dims"], ["cubic"], ["quotient", "--relations", "d3char2"],
+])
+@pytest.mark.parametrize("cocycle", ["d3char2", "file"])
+def test_rack_next_to_a_cocycle_with_its_own_rack_is_an_error(tmp_path, capsys, command, cocycle):
+    if cocycle == "file":
+        f = tmp_path / "cocycle.json"
+        f.write_text(json.dumps({"rack": "D3", "field": "QQ", "values": [["-1"] * 3] * 3}))
+        cocycle = str(f)
+    code = main(["nichols", command[0], "T", "--cocycle", cocycle] + command[1:])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert "--cocycle %s" % cocycle in captured.err and "rack argument T" in captured.err
+
+
+def test_minus1_cocycle_takes_the_rack_argument(capsys):
+    code, out = run(
+        capsys, "--format", "json", "nichols", "dims", "T", "--cocycle", "minus1",
+        "--max-degree", "3",
+    )
+    assert code == 0
+    assert json.loads(out)["dims"] == [1, 4, 8, 11]
+
+
 def test_degree0_relation_is_an_error(tmp_path, capsys):
     # a scalar relation makes the ideal everything; it is rejected, not ignored
     f = tmp_path / "rels.json"

@@ -1,6 +1,11 @@
+import hashlib
 import random
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from braidrack.hilbert import (
+    MAX_SOLUTIONS,
     expand_product,
     factor_series,
     factorizations,
@@ -8,6 +13,7 @@ from braidrack.hilbert import (
     poly_mul,
     product_exponents,
 )
+from braidrack.verify import SERIES
 
 
 def naive_mul(a, b):
@@ -99,6 +105,46 @@ def test_factorizations_with_infinite_tail():
     # every found solution must reproduce the series
     for sol in sols:
         assert expand_product(sol, 4) == series
+
+
+def test_factorizations_are_pinned():
+    # the paper's series at truncations 4, 6 and top degree + 1, one series
+    # with exactly MAX_SOLUTIONS factorizations and one with 80, cut to the
+    # first MAX_SOLUTIONS; the digest is over the ordered lists
+    data = []
+    for name, factors in SERIES.items():
+        top = sum((n - 1) * r for n, r in factors)
+        for trunc in (4, 6, top + 1):
+            data.append((name, trunc, factorizations(expand_product(factors, trunc), trunc)))
+    for fours in (3, 4):
+        series = expand_product([(4, 1)] * fours + [(6, 1)] * 3 + [(8, 1)] * 3, 8)
+        data.append(("capped", fours, factorizations(series, 8)))
+    assert [len(sols) for _, _, sols in data] == [
+        1, 1, 1, 5, 7, 7, 1, 1, 1, 2, 2, 2, 12, 12, 12, 3, 3, 3, 35, 25, 25,
+        MAX_SOLUTIONS, MAX_SOLUTIONS]
+    digest = hashlib.sha256(repr(data).encode()).hexdigest()
+    assert digest == "58aca44c8ba264845bbf251c3d3fd7c808b131ef38341a527a6407929cb677e8"
+
+
+@st.composite
+def _product(draw):
+    trunc = draw(st.integers(2, 12))
+    sizes = st.one_of(st.none(), st.integers(2, 9))
+    factors = draw(st.lists(st.tuples(sizes, st.sampled_from((1, 2))), max_size=6))
+    return factors, trunc
+
+
+@settings(max_examples=300, deadline=None)
+@given(_product())
+def test_factorizations_find_every_generating_product(case):
+    factors, trunc = case
+    sols = factorizations(expand_product(factors, trunc), trunc)
+    # a factor whose first missing term lies beyond the truncation reads as
+    # its tail
+    want = [(None, r) if n is not None and n * r > trunc else (n, r) for n, r in factors]
+    want.sort(key=lambda f: (f[1], f[0] is None, f[0] or 0))
+    if len(sols) < MAX_SOLUTIONS:
+        assert want in sols
 
 
 def test_format_factorization():

@@ -1,6 +1,9 @@
+import hashlib
 import itertools
 import random
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -39,6 +42,10 @@ from braidrack.nichols import (
 )
 from braidrack.racks import preset, trivial_rack
 
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+
+import workloads  # noqa: E402
+
 
 def minus1(name, field=None):
     f = field or QQ
@@ -75,7 +82,48 @@ def test_direct_and_differential_engines_agree():
     for b, max_deg in cases:
         eng = NicholsEngine(b)
         for n in range(max_deg + 1):
-            assert eng.dim(n) == graded_dim_direct(b, n)
+            assert eng.dims(n)[n] == graded_dim_direct(b, n)
+
+
+@pytest.mark.parametrize("space, up_to, digest", [
+    pytest.param(lambda: workloads.modular_inputs(1).space, 8,
+                 "42fa58416c31df03b5493de915117a3c38f8c6428bd67da0789c7f2c051c32ce",
+                 id="F7-t-new"),
+    pytest.param(lambda: transposition_model("A", 1), 5,
+                 "a17c90745d8a46f233541f2a3a250d6954fdf7ee2aeceee03bc6f523e61e95b4",
+                 id="A-sign+1"),
+])
+def test_nichols_engine_digest_is_pinned(space, up_to, digest):
+    # sha256 over repr of (n, basis[n], sorted nfmul[n]) for every degree
+    eng = NicholsEngine(space())
+    eng.dims(up_to)
+    data = [
+        (n, eng.basis[n], sorted((k, sorted(v.items())) for k, v in eng.nfmul[n].items()))
+        for n in sorted(eng.nfmul)
+    ]
+    assert hashlib.sha256(repr(data).encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("space", [
+    minus1("D3"), minus1("T"), transposition_model("A", 1), cocycle_preset("t-new"),
+], ids=["D3-minus1", "T-minus1", "A-sign+1", "t-new"])
+def test_nfmul_relations_lie_in_the_symmetrizer_kernel(space):
+    # y * basis[n-1][j] minus its class in basis[n] is 0 in the Nichols algebra
+    f = space.field
+    eng = NicholsEngine(space)
+    eng.dims(4)
+    dependent = 0
+    for n in range(2, 5):
+        words = set(eng.basis[n])
+        for (y, j), coords in eng.nfmul[n].items():
+            word = (y,) + eng.basis[n - 1][j]
+            if word in words:
+                continue
+            vec = {word: f.one}
+            f.axpy(vec, {eng.basis[n][i]: c for i, c in coords.items()}, f.neg(f.one))
+            assert symmetrizer_apply(space, n, vec) == {}
+            dependent += 1
+    assert dependent
 
 
 def test_t_minus1_series_and_total():
@@ -309,7 +357,7 @@ def test_derive_maps_kernel_to_kernel():
 def test_block_ranks_sum_to_total():
     b = minus1("T")
     total = graded_dim_direct(b, 3)
-    assert total == NicholsEngine(b).dim(3)
+    assert total == NicholsEngine(b).dims(3)[3]
 
 
 def test_truncation_series_ab_c():
