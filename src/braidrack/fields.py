@@ -7,10 +7,11 @@ A field is described by a spec string:
     QQ[t]/(t^2+t+1)         quotient ring over the rationals
     Fp(2)[t]/(t^2+t+1)      quotient ring over a prime field
 
-Scalars are plain hashable values: ``fractions.Fraction`` for QQ, ints in
-[0, p) for Fp(p), and fixed-length tuples of base scalars (degree many
-coefficients, lowest power first) for quotient rings, except integer
-triples for QQ[t]/(t^2+u*t+v) with integer u, v.  All arithmetic goes
+Scalars are plain hashable values: for QQ an ``int`` when integral and a
+``fractions.Fraction`` otherwise, ints in [0, p) for Fp(p), and
+fixed-length tuples of base scalars (degree many coefficients, lowest
+power first) for quotient rings, except integer triples for
+QQ[t]/(t^2+u*t+v) with integer u, v.  All arithmetic goes
 through the Field object so hot loops never allocate wrapper objects.
 """
 from __future__ import annotations
@@ -122,7 +123,7 @@ class Field:
 
     def __eq__(self, other):
         # the type fixes the element representation: equal specs with
-        # different types (integer triples against Fraction pairs) differ
+        # different types (integer triples against coefficient tuples) differ
         return type(other) is type(self) and self.spec_string() == other.spec_string()
 
     def __hash__(self):
@@ -135,21 +136,26 @@ class Field:
         raise NotImplementedError
 
 
+def _rational(x):
+    """A QQ scalar in its one representation: an int when integral."""
+    return x.numerator if x.denominator == 1 else x
+
+
 class RationalField(Field):
     characteristic = 0
 
     def __init__(self):
-        self.zero = Fraction(0)
-        self.one = Fraction(1)
+        self.zero = 0
+        self.one = 1
 
     def add(self, a, b):
-        return a + b
+        return _rational(a + b)
 
     def sub(self, a, b):
-        return a - b
+        return _rational(a - b)
 
     def mul(self, a, b):
-        return a * b
+        return _rational(a * b)
 
     def neg(self, a):
         return -a
@@ -157,28 +163,28 @@ class RationalField(Field):
     def inv(self, a):
         if a == 0:
             raise ZeroDivisionError("inverse of zero")
-        return 1 / a
+        # through Fraction: 1 / a of an int would be a float
+        return _rational(1 / Fraction(a))
 
     def axpy(self, target, source, factor):
         if not factor:
             return
         get = target.get
         for j, v in source.items():
+            s = factor * v
             cur = get(j)
-            if cur is None:
-                target[j] = factor * v
-            else:
-                s = cur + factor * v
-                if s:
-                    target[j] = s
-                else:
+            if cur is not None:
+                s = cur + s
+                if not s:
                     del target[j]
+                    continue
+            target[j] = s if type(s) is int else _rational(s)
 
     def from_int(self, n):
-        return Fraction(n)
+        return _rational(Fraction(n))
 
     def _parse(self, s):
-        return Fraction(s)
+        return _rational(Fraction(s))
 
     def to_str(self, a):
         return str(a)
@@ -383,16 +389,16 @@ class QuotientRing(Field):
     def _rational_root_candidates(self):
         # monic over QQ: clear denominators, then any rational root of the
         # integer polynomial a_n x^n + ... + a_0 is p/q with p | a_0, q | a_n
-        den = lcm(*[Fraction(c).denominator for c in self.modulus])
-        ints = [int(Fraction(c) * den) for c in self.modulus]
+        den = lcm(*[c.denominator for c in self.modulus])
+        ints = [int(c * den) for c in self.modulus]
         a0, an = ints[0], ints[-1]
         if a0 == 0:
-            return [Fraction(0)]
+            return [self.base.zero]
         cands = set()
         for p in _divisors(abs(a0)):
             for q in _divisors(abs(an)):
-                cands.add(Fraction(p, q))
-                cands.add(Fraction(-p, q))
+                cands.add(_rational(Fraction(p, q)))
+                cands.add(_rational(Fraction(-p, q)))
         return sorted(cands)
 
     # -- arithmetic on fixed-length coefficient tuples --
@@ -518,7 +524,7 @@ class QuadraticRationalField(QuotientRing):
     """
 
     def __init__(self, u, v):
-        super().__init__(RationalField(), (Fraction(v), Fraction(u), Fraction(1)))
+        super().__init__(RationalField(), (v, u, 1))
         self.u = u
         self.v = v
         self.zero = (0, 0, 1)
@@ -602,9 +608,9 @@ class QuadraticRationalField(QuotientRing):
         return (c.numerator, 0, c.denominator)
 
     def coefficients(self, x):
-        """(constant, t-coefficient) as Fractions."""
+        """(constant, t-coefficient) as QQ scalars."""
         a, b, den = x
-        return Fraction(a, den), Fraction(b, den)
+        return _rational(Fraction(a, den)), _rational(Fraction(b, den))
 
 
 def _poly_terms(base, s):

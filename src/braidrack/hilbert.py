@@ -51,7 +51,8 @@ def product_exponents(series, trunc):
     """Exponents c_k with prod_k (1 - t^k)^{c_k} = series mod t^{trunc+1}.
 
     The representation exists and is unique for any integer series with
-    constant term 1; returns None when the constant term is not 1.
+    constant term 1; returns None when the constant term is not 1.  Degrees
+    past the end of ``series`` count as 0.
     """
     if not series or series[0] != 1:
         return None
@@ -61,24 +62,18 @@ def product_exponents(series, trunc):
         c = -r[k]
         if c:
             exps[k] = c
-            r = _mul_one_minus_tk_power(r, k, -c, trunc)
+            r = poly_mul(_one_minus_tk_power(k, -c, trunc), r, trunc)
     return exps
 
 
-def _mul_one_minus_tk_power(r, k, e, trunc):
-    """r * (1 - t^k)^e truncated, e any integer."""
-    out = list(r)
-    if e >= 0:
-        for _ in range(e):
-            nxt = list(out)
-            for i in range(k, trunc + 1):
-                nxt[i] -= out[i - k]
-            out = nxt
-    else:
-        for _ in range(-e):
-            # multiply by 1/(1 - t^k) = 1 + t^k + t^{2k} + ...
-            for i in range(k, trunc + 1):
-                out[i] += out[i - k]
+def _one_minus_tk_power(k, e, trunc):
+    """(1 - t^k)^e truncated, e any integer: the binomial series
+    sum_m binom(e, m) (-t^k)^m, with generalized binomials when e < 0."""
+    out = [0] * (trunc + 1)
+    b = 1  # binom(e, m)
+    for m in range(trunc // k + 1):
+        out[k * m] = -b if m % 2 else b
+        b = b * (e - m) // (m + 1)
     return out
 
 
@@ -99,7 +94,9 @@ def factorizations(series, trunc):
     #   tail (None, 1): -1 at k=1;  tail (None, 2): -1 at k=2
     # so c_k, k >= 3, counts (k)_t plus, for even k, (k/2)_{t^2}; the split
     # of each even c_k and the (None, 2) count fix every other count, and
-    # the two tails always add up to -(sum of all c_k).
+    # the two tails always add up to -(sum of all c_k).  Every candidate thus
+    # has exponent c_k at each k <= trunc (at k = 1 through that sum), and
+    # these fix the series mod t^(trunc+1): each reproduces it unchecked.
     if any(c < 0 for k, c in exps.items() if k >= 3):
         return []
     evens = [k for k in sorted(exps) if k >= 4 and k % 2 == 0]
@@ -121,9 +118,7 @@ def factorizations(series, trunc):
         solutions.append(factors)
         if len(solutions) == MAX_SOLUTIONS:
             break
-    # keep only factorizations that really reproduce the series
-    want = list(series[: trunc + 1])
-    return [f for f in solutions if expand_product(f, trunc) == want]
+    return solutions
 
 
 def _factor_key(factor):

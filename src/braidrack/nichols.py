@@ -227,9 +227,13 @@ class GradedEngine:
 
     The candidates (y, j) of degree n are grouped by grade, which every
     elimination respects, and each grade block is eliminated on its own.
-    A subclass says what a block eliminates: ``_block_vectors`` gives its
-    vectors and ``_reduce_block`` picks the block's basis words, through
-    ``_new_word``, and sets nfmul of the other candidates.
+    A subclass's ``_reduce_block`` picks the block's basis words, through
+    ``_new_word``, and sets nfmul of the other candidates.  The vectors it
+    eliminates come from the engine's own hook: NicholsEngine builds each
+    candidate's derivation vector in ``_reduce_block`` itself, and
+    QuotientEngine places its relations for the whole degree first
+    (``_block_vectors``), since it learns a placement's grade only after
+    placing it.
     """
 
     def __init__(self, b):
@@ -262,12 +266,9 @@ class GradedEngine:
             for y in range(self.b.dim):
                 blocks.setdefault(self.grading.lmul(y, grade), []).append((y, j))
         self.basis[n], self.grades[n], self.nfmul[n] = [], [], {}
-        if not blocks:
-            return
-        vectors = self._block_vectors(n, blocks)
         # blocks in the order of their first candidate, for a fixed basis order
         for g in sorted(blocks, key=lambda g: blocks[g][0]):
-            self._reduce_block(n, g, blocks[g], vectors.get(g, ()))
+            self._reduce_block(n, g, blocks[g])
 
     def _new_word(self, n, cand, grade):
         """Make candidate (y, j) the next basis word of degree n; its index."""
@@ -320,48 +321,38 @@ class NicholsEngine(GradedEngine):
         super().__init__(b)
         self.dmat = {1: [[{0: self.f.one} if w[0] == x else {} for w in self.basis[1]]
                          for x in range(b.dim)]}
+        self._phi = [b.rack.phi(x) for x in range(b.dim)]
 
     def _build_degree(self, n):
         self.dmat[n] = [[] for _ in range(self.b.dim)]
         super()._build_degree(n)
 
-    def _block_vectors(self, n, blocks):
-        """Per candidate y * basis[n-1][j], its derivations (d_x)_x in
-        coordinates (x, i) -> x * len(basis[n-1]) + i."""
+    def _reduce_block(self, n, grade, cands):
         f = self.f
-        axpy = f.axpy
-        d = self.b.dim
-        q = self.b.cocycle.q
-        phi = [self.b.rack.phi(x) for x in range(d)]
+        axpy, one = f.axpy, f.one
+        d, q, phi = self.b.dim, self.b.cocycle.q, self._phi
         prev_d = self.dmat[n - 1]
-        nb = len(self.basis[n - 1])
-        vectors = {}
-        for g, cands in blocks.items():
-            vecs = vectors[g] = []
-            for y, j in cands:
-                vec = {y * nb + j: f.one}  # delta term of d_y
-                for xp in range(d):
-                    dv = prev_d[xp][j]
-                    if dv:
-                        xnb = phi[y][xp] * nb
-                        ydv = self._lmul(y, dv, n - 1)
-                        axpy(vec, {xnb + i: c for i, c in ydv.items()}, q[y][xp])
-                vecs.append(vec)
-        return vectors
-
-    def _reduce_block(self, n, grade, cands, vectors):
-        f = self.f
         nb = len(self.basis[n - 1])
         dm = self.dmat[n]
         # a row holds at key top + i its coefficient on the derivation vector
         # of basis word i; every derivation key is below top, so these keys
         # are never pivots and the row operations carry them along
-        top = self.b.dim * nb
+        top = d * nb
         # key top + i -> i: nfmul's dicts then share one int per basis word,
         # where k - top would allocate an int for each entry past 256
         index = {}
         ech = Echelon(f)
-        for cand, vec in zip(cands, vectors):
+        for cand in cands:
+            # the candidate's derivations (d_x)_x at keys x * nb + i; they read
+            # only dmat[n-1] and nfmul[n-1], so each is built as it is reduced
+            y, j = cand
+            vec = {y * nb + j: one}  # delta term of d_y
+            for xp in range(d):
+                dv = prev_d[xp][j]
+                if dv:
+                    xnb = phi[y][xp] * nb
+                    ydv = self._lmul(y, dv, n - 1)
+                    axpy(vec, {xnb + i: c for i, c in ydv.items()}, q[y][xp])
             rest = dict(vec)
             ech.reduce(rest)
             if min(rest, default=top) < top:

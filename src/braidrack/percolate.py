@@ -156,13 +156,17 @@ def minimal_plague(o):
             [False] * size, [0] * len(inst), 0, (), [v for v in firsts if v <= size - k], k
         )
         if witness:
-            return PlagueResult(
-                min_size=k,
-                witness=witness,
-                immunity=Fraction(k, size),
-                seeds_closed=closed_count,
-            )
-    raise RuntimeError("no seed percolates, not even the full orbit")
+            break
+    # search refers to itself: break the cycle that would hold inst and touch
+    del search
+    if not witness:
+        raise RuntimeError("no seed percolates, not even the full orbit")
+    return PlagueResult(
+        min_size=k,
+        witness=witness,
+        immunity=Fraction(k, size),
+        seeds_closed=closed_count,
+    )
 
 
 _BY_CODE_CACHE = {}

@@ -88,11 +88,14 @@ class QuotientEngine(GradedEngine):
     def _build_degree(self, n):
         # the relations placed at n; _reduce_block strikes each that makes a row
         self._idle = set()
+        # a degree with no candidates places nothing, so it retires nothing
+        self._vectors = self._block_vectors(n) if self.basis[n - 1] else {}
         super()._build_degree(n)
+        del self._vectors
         for i in sorted(self._idle):
             self.retired[i] = n
 
-    def _block_vectors(self, n, blocks):
+    def _block_vectors(self, n):
         """(relation index, pi(r * b)) in candidate coordinates, by grade."""
         nb = len(self.basis[n - 1])
         vectors = {}
@@ -119,11 +122,11 @@ class QuotientEngine(GradedEngine):
             axpy(out, {w[0] * nb + j: cj for j, cj in tail.items()}, c)
         return out
 
-    def _reduce_block(self, n, grade, cands, vectors):
+    def _reduce_block(self, n, grade, cands):
         f = self.f
         nb = len(self.basis[n - 1])
         ideal = Echelon(f)
-        for i, vec in vectors:
+        for i, vec in self._vectors.get(grade, ()):
             if ideal.add(vec):
                 self._idle.discard(i)
         index = {}

@@ -483,6 +483,7 @@ def _find_isomorphism(r1, r2):
             f[x] = -1
         return False
 
-    if extend(0):
-        return tuple(f)
-    return None
+    found = extend(0)
+    # extend refers to itself: break the cycle that would hold both racks
+    del extend
+    return tuple(f) if found else None

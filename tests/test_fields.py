@@ -310,3 +310,48 @@ def test_prime_field_axpy_reduces_the_factor_once(p, t, s, c):
     # p and -1 are not canonical; the generic loop gets their residues
     for factor in (c, p, -1, -p - 1):
         _check_axpy(f, t, s, factor, f.from_int(factor))
+
+
+def _qq_canonical(x):
+    # QQ's one representation: an int when integral, else a Fraction
+    return type(x) is int or (type(x) is Fraction and x.denominator != 1)
+
+
+_RATIONAL = st.fractions(min_value=-30, max_value=30, max_denominator=6)
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    _RATIONAL, _RATIONAL, _RATIONAL,
+    st.dictionaries(st.integers(0, 6), _RATIONAL, max_size=6),
+    st.dictionaries(st.integers(0, 6), _RATIONAL, max_size=6),
+)
+# products, sums and quotients of non-integral values that are integral
+@example(Fraction(1, 3), Fraction(3), Fraction(2, 3), {0: Fraction(1, 3)}, {0: Fraction(1, 2)})
+@example(Fraction(-1, 2), Fraction(1, 2), Fraction(-2), {1: Fraction(1)}, {1: Fraction(1, 2)})
+def test_qq_matches_fraction_arithmetic(a, b, c, t, s):
+    x, y, z = (QQ.parse(str(v)) for v in (a, b, c))
+    assert (x, y, z) == (a, b, c)
+    want = [(QQ.add(x, y), a + b), (QQ.sub(x, y), a - b), (QQ.mul(x, y), a * b),
+            (QQ.neg(x), -a)]
+    if b:
+        want += [(QQ.inv(y), 1 / b), (QQ.div(x, y), a / b)]
+    for got, value in want + [(v, v) for v in (x, y, z)]:
+        assert got == value and _qq_canonical(got)
+    # axpy on sparse dicts of canonical scalars, against the Fraction loop
+    t = {k: QQ.parse(str(v)) for k, v in t.items() if v}
+    s = {k: QQ.parse(str(v)) for k, v in s.items() if v}
+    ref = {k: Fraction(v) for k, v in t.items()}
+    for k, v in s.items():
+        ref[k] = ref.get(k, 0) + c * v
+    got = dict(t)
+    QQ.axpy(got, s, z)
+    assert got == {k: v for k, v in ref.items() if v}
+    assert all(_qq_canonical(v) for v in got.values())
+
+
+def test_qq_inverse_is_exact():
+    assert QQ.inv(3) == Fraction(1, 3) and type(QQ.inv(3)) is Fraction
+    assert QQ.inv(-1) == -1 and type(QQ.inv(-1)) is int
+    assert type(QQ.inv(Fraction(-1, 4))) is int
+    assert (type(QQ.zero), type(QQ.one), type(QQ.from_int(7))) == (int, int, int)

@@ -1,11 +1,13 @@
 import hashlib
 import random
+import time
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from braidrack.hilbert import (
     MAX_SOLUTIONS,
+    _one_minus_tk_power,
     expand_product,
     factor_series,
     factorizations,
@@ -145,6 +147,59 @@ def test_factorizations_find_every_generating_product(case):
     want.sort(key=lambda f: (f[1], f[0] is None, f[0] or 0))
     if len(sols) < MAX_SOLUTIONS:
         assert want in sols
+
+
+def _one_minus_tk_power_by_steps(r, k, e, trunc):
+    """r * (1 - t^k)^e truncated, one factor (1 - t^k)^{+-1} at a time."""
+    out = list(r)
+    for _ in range(abs(e)):
+        if e > 0:
+            out = [x - (out[i - k] if i >= k else 0) for i, x in enumerate(out)]
+        else:
+            for i in range(k, trunc + 1):
+                out[i] += out[i - k]
+    return out
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 12), st.integers(1, 13), st.integers(-8, 8), st.data())
+def test_binomial_series_matches_the_stepwise_product(trunc, k, e, data):
+    r = data.draw(st.lists(st.integers(-9, 9), min_size=trunc + 1, max_size=trunc + 1))
+    got = poly_mul(_one_minus_tk_power(k, e, trunc), r, trunc)
+    assert got == _one_minus_tk_power_by_steps(r, k, e, trunc)
+
+
+def test_non_product_series_is_fast():
+    # the binomial series takes trunc/k terms per factor, whatever c_k is;
+    # one factor at a time this took seconds (largest |c_k| 12,195,155)
+    series = [1, 5, 1, 0, 0, 0, 1, 5, 2, 0, 3, 6, 3]
+    start = time.perf_counter()
+    sols = factorizations(series, 12)
+    exps = product_exponents(series, 12)
+    assert time.perf_counter() - start < 0.1
+    assert sols == []
+    assert exps == {
+        1: -5, 2: 14, 3: -35, 4: 126, 5: -504, 6: 2029, 7: -8280, 8: 34649,
+        9: -147835, 10: 637785, 11: -2776916, 12: 12195155,
+    }
+
+
+@st.composite
+def _series(draw):
+    # products, and products with one coefficient moved
+    factors, trunc = draw(_product())
+    series = expand_product(factors, trunc)
+    k = draw(st.integers(1, trunc))
+    series[k] = max(0, series[k] + draw(st.integers(-2, 2)))
+    return series, trunc
+
+
+@settings(max_examples=300, deadline=None)
+@given(_series())
+def test_every_factorization_expands_to_the_series(case):
+    series, trunc = case
+    for sol in factorizations(series, trunc):
+        assert expand_product(sol, trunc) == series
 
 
 def test_format_factorization():

@@ -1,3 +1,4 @@
+import gc
 import itertools
 import random
 from dataclasses import replace
@@ -247,3 +248,16 @@ def test_closure_instances_match_the_tuple_definition():
     checked += orbits(preset("Aff(7,3)"), 3)
     for o in checked:
         assert closure_instances(o) == _tuple_level_instances(o)
+
+
+def test_minimal_plague_leaves_no_reference_cycle():
+    # a cycle would keep the orbit's forcing tables alive until a full
+    # collection; with the collector off, none may be left to collect
+    o = reference_orbit(24)
+    gc.disable()
+    try:
+        gc.collect()
+        minimal_plague(o)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()

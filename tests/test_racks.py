@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import itertools
 import json
@@ -305,3 +306,16 @@ def test_relabelled_preset_always_isomorphic(sigma):
         for y in range(6):
             table[sigma[x]][sigma[y]] = sigma[base.table[x][y]]
     assert is_isomorphic(base, Rack(table))
+
+
+def test_isomorphism_search_leaves_no_reference_cycle():
+    # a cycle would keep both racks' tables alive until a full collection
+    a, b = preset("Aff(7,3)"), preset("Aff(7,5)")
+    gc.disable()
+    try:
+        gc.collect()
+        for r1, r2 in ((a, a), (a, b)):
+            is_isomorphic(r1, r2, witness=True)
+            assert gc.collect() == 0
+    finally:
+        gc.enable()
