@@ -18,7 +18,7 @@ from . import classify, hilbert, nichols, percolate, presentations, verify
 from .braiding import BraidedSpace, cocycle_preset, constant_cocycle, table_cocycle
 from .fields import QQ, parse_field
 from .hurwitz import census, orbit
-from .racks import Rack, invariants, is_isomorphic, preset, preset_names
+from .racks import Rack, inner_group_order, invariants, is_isomorphic, preset, preset_names
 
 EXIT_OK = 0
 EXIT_MISMATCH = 1
@@ -95,7 +95,7 @@ def cmd_rack_info(args):
         "faithful": inv.is_faithful,
         "indecomposable": inv.is_indecomposable,
         "components": [[x + 1 for x in c] for c in inv.component_partition],
-        "inner_group_order": inv.inner_group_order,
+        "inner_group_order": inner_group_order(r),
         "degree": inv.degree,
         "k": {str(n): v for n, v in sorted((inv.k or {}).items())},
         "m": inv.m,

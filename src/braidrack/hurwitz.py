@@ -60,12 +60,13 @@ class HurwitzOrbit:
         return json.dumps(payload, separators=(", ", ": "))
 
 
-def orbit(r, tup, cap=DEFAULT_ORBIT_CAP):
+def orbit(r, tup):
     """Closure of a tuple under sigma_1..sigma_{n-1} and inverses (BFS).
 
     Neighbours are visited sigma_1, sigma_1^{-1}, sigma_2, sigma_2^{-1},
     ..., so discovery order is deterministic; it numbers the tuples that
-    ``braidrack hurwitz orbit`` and the immunity witnesses print.
+    ``braidrack hurwitz orbit`` and the immunity witnesses print.  An orbit
+    of more than ``DEFAULT_ORBIT_CAP`` tuples raises OrbitSizeCap.
     """
     tup = tuple(tup)
     n = len(tup)
@@ -78,8 +79,8 @@ def orbit(r, tup, cap=DEFAULT_ORBIT_CAP):
         for i in range(1, n):
             for img in (sigma(r, i, cur), sigma_inv(r, i, cur)):
                 if img not in index:
-                    if len(tuples) >= cap:
-                        raise OrbitSizeCap("orbit exceeded cap of %d tuples" % cap)
+                    if len(tuples) >= DEFAULT_ORBIT_CAP:
+                        raise OrbitSizeCap("orbit exceeded cap of %d tuples" % DEFAULT_ORBIT_CAP)
                     index[img] = len(tuples)
                     tuples.append(img)
     edges = [[index[sigma(r, i, t)] for t in tuples] for i in range(1, n)]

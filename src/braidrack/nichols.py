@@ -22,11 +22,9 @@ from fractions import Fraction
 from . import hilbert
 from .hurwitz import orbits as hurwitz_orbits
 from .linalg import Echelon, SparseMatrix, kernel_dim, rank
-from .percolate import minimal_plague_cached
+from .percolate import BOUND_ORBIT_CAP, minimal_plague_cached
 
 DIRECT_WORD_CAP = 3 * 10**5
-# orbits up to this size get the exact minimal-plague bound in cubic_kernel
-BOUND_ORBIT_CAP = 24
 
 
 class DegreeCap(Exception):
@@ -158,40 +156,30 @@ def operator_matrix(f, words, op):
 # ---------------------------------------------------------------------------
 # grading by monomial matrices (used to block eliminations)
 
-def grading_matrices(b):
-    """M_x = action of x on the space: they satisfy M_x M_y = M_{x|>y} M_x."""
-    d = b.dim
-    q = b.cocycle.q
-    t = b.rack.table
-    return [
-        (tuple(t[x][y] for y in range(d)), tuple(q[x][y] for y in range(d)))
-        for x in range(d)
-    ]
-
-
 class _Grading:
-    """Word grades in the monoid the grading matrices generate."""
+    """Word grades in the monoid of the monomial matrices M_x (permutation
+    y -> x |> y, scalars q[x][y]), which satisfy M_x M_y = M_{x|>y} M_x."""
 
     def __init__(self, b):
         self.f = b.field
-        self.mats = grading_matrices(b)
-        d = b.dim
-        self.unit = (tuple(range(d)), (self.f.one,) * d)
+        self.mats = [(tuple(b.rack.table[x]), tuple(b.cocycle.q[x])) for x in range(b.dim)]
+        self.unit = (tuple(range(b.dim)), (self.f.one,) * b.dim)
+        # a degree has few distinct grades, so each product is computed once
+        self._products = {}
 
-    def lmul(self, x, m):
-        """M_x * grade(m) (prepend letter x on the left)."""
-        p1, s1 = self.mats[x]
-        p2, s2 = m
-        f = self.f
-        return (
-            tuple(p1[p2[y]] for y in range(len(p2))),
-            tuple(f.mul(s1[p2[y]], s2[y]) for y in range(len(p2))),
-        )
+    def mul(self, g, h):
+        """The product g * h of two grades; grade(u v) = grade(u) * grade(v)."""
+        gh = self._products.get((g, h))
+        if gh is None:
+            (p1, s1), (p2, s2), mul = g, h, self.f.mul
+            gh = tuple(p1[k] for k in p2), tuple(mul(s1[k], s) for k, s in zip(p2, s2))
+            self._products[g, h] = gh
+        return gh
 
     def of_word(self, word):
         m = self.unit
         for x in reversed(word):
-            m = self.lmul(x, m)
+            m = self.mul(self.mats[x], m)
         return m
 
 
@@ -226,14 +214,14 @@ class GradedEngine:
     * nfmul[n][(y, j)]: the class of y * basis[n-1][j] expanded in basis[n].
 
     The candidates (y, j) of degree n are grouped by grade, which every
-    elimination respects, and each grade block is eliminated on its own.
-    A subclass's ``_reduce_block`` picks the block's basis words, through
-    ``_new_word``, and sets nfmul of the other candidates.  The vectors it
-    eliminates come from the engine's own hook: NicholsEngine builds each
-    candidate's derivation vector in ``_reduce_block`` itself, and
-    QuotientEngine places its relations for the whole degree first
-    (``_block_vectors``), since it learns a placement's grade only after
-    placing it.
+    elimination respects, and the grade block is the one unit in which
+    vectors are built and eliminated.  A subclass's ``_build_degree`` takes
+    degree n's blocks from ``_grade_blocks`` and hands each to its
+    ``_reduce_block``, which builds that block's vectors, eliminates them,
+    picks the block's basis words through ``_new_word`` and sets nfmul of
+    the other candidates.  NicholsEngine's vectors are the candidates'
+    derivations; QuotientEngine's are the placements r * b, whose grade
+    grade(r) * grade(b) is known before they are placed.
     """
 
     def __init__(self, b):
@@ -255,20 +243,20 @@ class GradedEngine:
         return [len(self.basis[n]) for n in range(up_to + 1)]
 
     def extend(self, up_to):
-        n = max(self.basis) + 1
-        while n <= up_to:
+        for n in range(max(self.basis) + 1, up_to + 1):
             self._build_degree(n)
-            n += 1
 
-    def _build_degree(self, n):
+    def _grade_blocks(self, n):
+        """Start degree n; its (grade, candidates) blocks, in candidate order."""
         blocks = {}
+        mul, mats = self.grading.mul, self.grading.mats
         for j, grade in enumerate(self.grades[n - 1]):
             for y in range(self.b.dim):
-                blocks.setdefault(self.grading.lmul(y, grade), []).append((y, j))
+                blocks.setdefault(mul(mats[y], grade), []).append((y, j))
         self.basis[n], self.grades[n], self.nfmul[n] = [], [], {}
-        # blocks in the order of their first candidate, for a fixed basis order
-        for g in sorted(blocks, key=lambda g: blocks[g][0]):
-            self._reduce_block(n, g, blocks[g])
+        # sorted by first candidate, which keeps the pinned bases; the dict's
+        # insertion order is fixed too, and measured faster (ROADMAP item 6)
+        return sorted(blocks.items(), key=lambda block: block[1][0])
 
     def _new_word(self, n, cand, grade):
         """Make candidate (y, j) the next basis word of degree n; its index."""
@@ -311,7 +299,8 @@ class NicholsEngine(GradedEngine):
     """Graded data of the braided space's quotient by the symmetrizer kernels.
 
     Besides the basis and nfmul of :class:`GradedEngine` it keeps
-    dmat[n][x][i], d_x of basis[n][i] expanded in basis[n-1].  A candidate
+    dmat[n][x][i], d_x of basis[n][i] expanded in basis[n-1] (None when it
+    is zero: most are, and an empty dict per pair costs memory).  A candidate
     is eliminated when its derivations depend on those of the candidates
     before it in its block: u lies in ker S_n exactly when every d_x(u)
     lies in ker S_{n-1}.
@@ -319,13 +308,14 @@ class NicholsEngine(GradedEngine):
 
     def __init__(self, b):
         super().__init__(b)
-        self.dmat = {1: [[{0: self.f.one} if w[0] == x else {} for w in self.basis[1]]
+        self.dmat = {1: [[{0: self.f.one} if w[0] == x else None for w in self.basis[1]]
                          for x in range(b.dim)]}
         self._phi = [b.rack.phi(x) for x in range(b.dim)]
 
     def _build_degree(self, n):
         self.dmat[n] = [[] for _ in range(self.b.dim)]
-        super()._build_degree(n)
+        for grade, cands in self._grade_blocks(n):
+            self._reduce_block(n, grade, cands)
 
     def _reduce_block(self, n, grade, cands):
         f = self.f
@@ -358,10 +348,13 @@ class NicholsEngine(GradedEngine):
             if min(rest, default=top) < top:
                 i = self._new_word(n, cand, grade)
                 for col in dm:
-                    col.append({})
+                    col.append(None)
                 for key, c in vec.items():
                     x, i1 = divmod(key, nb)
-                    dm[x][i][i1] = c
+                    dx = dm[x][i]
+                    if dx is None:
+                        dm[x][i] = dx = {}
+                    dx[i1] = c
                 key = top + i
                 index[key] = i
                 # set after reduce; set before, it would precede the keys reduce
@@ -408,8 +401,8 @@ def cubic_kernel(b):
 
     Each block is checked against the immunity bound (kernel <= imm * size),
     raising ImmunityBoundViolated if it fails; the bound is only evaluated
-    for orbit sizes <= ``BOUND_ORBIT_CAP`` where the exact minimal plague
-    search is cheap.
+    for orbit sizes <= ``percolate.BOUND_ORBIT_CAP``, where the exact
+    minimal plague search is cheap.
     """
     f = b.field
     blocks = []

@@ -28,6 +28,14 @@ class ImmunityMismatch(Exception):
     pass
 
 
+class OrbitTooLarge(Exception):
+    """A 3-orbit is larger than the exact plague search is run on."""
+
+
+# 3-orbits up to this size get the exact minimal-plague search
+BOUND_ORBIT_CAP = 24
+
+
 def closure_instances(o):
     """The list of (i, j, k) index triples, one instance per orbit member,
     read from the orbit's sigma_1 and sigma_2 edges."""
@@ -203,10 +211,16 @@ def immunity_table(r):
     cached by canonical code).  Orbits of equal size are not checked to be
     isomorphic: the table keeps the first one's result, and only the minimal
     plague sizes of the others are compared with it; a different size raises
-    ImmunityMismatch.
+    ImmunityMismatch.  A rack with an orbit above ``BOUND_ORBIT_CAP`` raises
+    OrbitTooLarge before any search.
     """
+    orbs = orbits(r, 3)
+    big = max(o.size for o in orbs)
+    if big > BOUND_ORBIT_CAP:
+        msg = "a 3-orbit of size %d is above the exact plague search's cap of %d"
+        raise OrbitTooLarge(msg % (big, BOUND_ORBIT_CAP))
     table = {}
-    for o in orbits(r, 3):
+    for o in orbs:
         res = minimal_plague_cached(o)
         prev = table.get(o.size)
         if prev is not None and prev.min_size != res.min_size:

@@ -69,48 +69,38 @@ class QuotientEngine(GradedEngine):
     def __init__(self, presentation):
         super().__init__(presentation.space)
         self.p = presentation
-        self.rel_degrees = []
+        self.rel_degrees = [len(next(iter(r))) for r in presentation.relations]
+        self._rel_grades = []
         for r in presentation.relations:
-            self.rel_degrees.append(len(next(iter(r))))
-            self._check_relation_grade(r)
+            grades = {self.grading.of_word(w) for w in r}
+            if len(grades) != 1:
+                raise NotHomogeneous("relation is not grade-homogeneous; split it by group degree")
+            self._rel_grades.append(grades.pop())
         low = min(self.rel_degrees, default=2)
         if low < 2:
             raise NotHomogeneous("degree-%d relations are not supported" % low)
         self.retired = {}
 
-    def _check_relation_grade(self, r):
-        grades = {self.grading.of_word(w) for w in r}
-        if len(grades) != 1:
-            raise NotHomogeneous(
-                "relation is not grade-homogeneous; split it by group degree"
-            )
-
     def _build_degree(self, n):
-        # the relations placed at n; _reduce_block strikes each that makes a row
-        self._idle = set()
+        blocks = self._grade_blocks(n)
         # a degree with no candidates places nothing, so it retires nothing
-        self._vectors = self._block_vectors(n) if self.basis[n - 1] else {}
-        super()._build_degree(n)
-        del self._vectors
-        for i in sorted(self._idle):
-            self.retired[i] = n
-
-    def _block_vectors(self, n):
-        """(relation index, pi(r * b)) in candidate coordinates, by grade."""
-        nb = len(self.basis[n - 1])
-        vectors = {}
-        for i, r in enumerate(self.p.relations):
+        if not blocks:
+            return
+        # each grade's placements (relation index, tail basis index), in
+        # relation-list order: r * b has grade grade(r) * grade(b)
+        placements = {}
+        idle = set()
+        for i, g in enumerate(self._rel_grades):
             tail_deg = n - self.rel_degrees[i]
             if tail_deg < 0 or i in self.retired:
                 continue
-            self._idle.add(i)
-            for bidx in range(len(self.basis[tail_deg])):
-                vec = self._place_relation(r, tail_deg, bidx, nb)
-                if vec:
-                    y, j = divmod(next(iter(vec)), nb)
-                    g = self.grading.lmul(y, self.grades[n - 1][j])
-                    vectors.setdefault(g, []).append((i, vec))
-        return vectors
+            idle.add(i)
+            for bidx, h in enumerate(self.grades[tail_deg]):
+                placements.setdefault(self.grading.mul(g, h), []).append((i, bidx))
+        for grade, cands in blocks:
+            idle -= self._reduce_block(n, grade, cands, placements.get(grade, ()))
+        for i in sorted(idle):
+            self.retired[i] = n
 
     def _place_relation(self, r, tail_deg, bidx, nb):
         """pi(r * basis[tail_deg][bidx]) in candidate coordinates of degree n."""
@@ -122,13 +112,16 @@ class QuotientEngine(GradedEngine):
             axpy(out, {w[0] * nb + j: cj for j, cj in tail.items()}, c)
         return out
 
-    def _reduce_block(self, n, grade, cands):
+    def _reduce_block(self, n, grade, cands, placements):
+        """Place and eliminate the block's relations; the indices that made a row."""
         f = self.f
         nb = len(self.basis[n - 1])
         ideal = Echelon(f)
-        for i, vec in self._vectors.get(grade, ()):
-            if ideal.add(vec):
-                self._idle.discard(i)
+        made_rows = set()
+        for i, bidx in placements:
+            tail_deg = n - self.rel_degrees[i]
+            if ideal.add(self._place_relation(self.p.relations[i], tail_deg, bidx, nb)):
+                made_rows.add(i)
         index = {}
         for y, j in cands:
             if y * nb + j not in ideal.rows:
@@ -138,6 +131,7 @@ class QuotientEngine(GradedEngine):
             row = ideal.rows.get(key)
             if row is not None:
                 self.nfmul[n][(y, j)] = {index[k]: f.neg(v) for k, v in row.items() if k != key}
+        return made_rows
 
 
 def quotient_dims(p, up_to):

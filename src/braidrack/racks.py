@@ -273,7 +273,6 @@ class RackInvariants:
     is_faithful: bool
     is_indecomposable: bool
     component_partition: tuple
-    inner_group_order: int
     k: dict | None = None          # n -> k_n, n >= 2 (up to 2d)
     m: int | None = None
     t: int | None = None
@@ -357,7 +356,6 @@ def invariants(r):
     faith = is_faithful(r)
     braided = is_braided(r)
     quandle = r.is_quandle()
-    inner = inner_group_order(r)
     inv = RackInvariants(
         size=r.size,
         is_quandle=quandle,
@@ -365,7 +363,6 @@ def invariants(r):
         is_faithful=faith,
         is_indecomposable=indec,
         component_partition=comp,
-        inner_group_order=inner,
     )
     if not indec:
         inv.notes["k"] = inv.notes["m"] = inv.notes["t"] = inv.notes["degree"] = (

@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -141,6 +142,18 @@ def test_immunity_command(capsys):
     assert data["8"]["min_plague"] == 3
     assert data["8"]["immunity"] == "3/8"
     assert data["12"]["immunity"] == "1/3"
+
+
+def test_immunity_on_an_orbit_above_the_search_cap_is_an_error(capsys):
+    # Aff(7,2) is not braided; its 3-orbits of size 42 and 49 are above
+    # percolate.BOUND_ORBIT_CAP, so no exact plague search is started
+    start = time.perf_counter()
+    code = main(["immunity", "Aff(7,2)"])
+    elapsed = time.perf_counter() - start
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert "3-orbit of size 49" in captured.err and "cap of 24" in captured.err
+    assert elapsed < 5
 
 
 def test_nichols_dims_default_minus1(capsys):

@@ -78,9 +78,10 @@ def test_orbit_sizes_basic():
     assert 24 in sizes
 
 
-def test_orbit_cap():
-    with pytest.raises(OrbitSizeCap):
-        orbit(preset("C"), (0, 1, 3), cap=4)
+def test_orbit_cap(monkeypatch):
+    monkeypatch.setattr(hurwitz, "DEFAULT_ORBIT_CAP", 4)
+    with pytest.raises(OrbitSizeCap, match="cap of 4 tuples"):
+        orbit(preset("C"), (0, 1, 3))
 
 
 @pytest.mark.parametrize("name", sorted(CENSUS_EXPECTED))

@@ -231,14 +231,75 @@ def test_redundant_relations_are_retired():
     assert eng.retired[n - 1] == 3
 
 
-def test_d3_char2_quotient_digest_is_pinned():
+class _CheckBlockContract(_PlaceEveryRelation):
+    """Checks the grade of every placement handed to a grade block.
+
+    A nonzero placement r * b handed to the block of grade g must have its
+    first candidate key in that block, and g = grade(r) * grade(b).
+    """
+
+    checked = 0
+
+    def _reduce_block(self, n, grade, cands, placements):
+        nb = len(self.basis[n - 1])
+        mul, mats = self.grading.mul, self.grading.mats
+        for i, bidx in placements:
+            r = self.p.relations[i]
+            tail_deg = n - self.rel_degrees[i]
+            vec = self._place_relation(r, tail_deg, bidx, nb)
+            if vec:
+                y, j = divmod(next(iter(vec)), nb)
+                assert (y, j) in cands
+                assert mul(mats[y], self.grades[n - 1][j]) == grade
+                assert mul(self.grading.of_word(next(iter(r))), self.grades[tail_deg][bidx]) == grade
+                self.checked += 1
+        return super()._reduce_block(n, grade, cands, placements)
+
+
+def _nonzero_placements(eng, up_to):
+    """The number of nonzero placements r * b of degree 2..up_to."""
+    count = 0
+    for n in range(2, up_to + 1):
+        nb = len(eng.basis[n - 1])
+        for r, deg in zip(eng.p.relations, eng.rel_degrees):
+            if deg <= n and nb:
+                for bidx in range(len(eng.basis[n - deg])):
+                    count += bool(eng._place_relation(r, n - deg, bidx, nb))
+    return count
+
+
+@pytest.mark.parametrize("name", ["d3char2", "t-new-mod7"])
+def test_every_placement_has_the_grade_of_its_block(name):
+    if name == "d3char2":
+        space, rels, _, _ = integral_preset(name)
+        p = Presentation(space, rels)
+    else:
+        p = _t_new_mod7()
+    eng = _CheckBlockContract(p)
+    eng.dims(12)
+    # no nonzero placement was left out of the blocks
+    assert eng.checked == _nonzero_placements(eng, 12) > 0
+
+
+def _quotient_digest(eng):
     # sha256 over repr of (n, basis[n], sorted nfmul[n]) for every degree
-    space, rels, _, _ = integral_preset("d3char2")
-    eng = QuotientEngine(Presentation(space, rels))
-    eng.dims(21)
     data = [
         (n, eng.basis[n], sorted((k, sorted(v.items())) for k, v in eng.nfmul[n].items()))
         for n in sorted(eng.nfmul)
     ]
-    digest = hashlib.sha256(repr(data).encode()).hexdigest()
-    assert digest == "f9cade576f3608d3dc6272341d495fd4919ab9628fdfae74b03258d0d1e1c43f"
+    return hashlib.sha256(repr(data).encode()).hexdigest()
+
+
+def test_d3_char2_quotient_digest_is_pinned():
+    space, rels, _, _ = integral_preset("d3char2")
+    eng = QuotientEngine(Presentation(space, rels))
+    eng.dims(21)
+    assert _quotient_digest(eng) == "f9cade576f3608d3dc6272341d495fd4919ab9628fdfae74b03258d0d1e1c43f"
+    assert eng.retired == {1: 21, 2: 17, 3: 7, 4: 4, 5: 13}
+
+
+def test_t_new_quotient_over_f7_digest_is_pinned():
+    eng = QuotientEngine(_t_new_mod7())
+    eng.dims(25)
+    assert _quotient_digest(eng) == "abcb5a4a184281f3d6ffda74dbbd049a8dc3ca692e7c06602745a19f4a54f884"
+    assert eng.retired == {4: 25, 5: 25, 6: 19, 7: 11, 8: 7}

@@ -17,6 +17,7 @@ from braidrack.racks import (
     braided_affine_param,
     components,
     conjugation_rack,
+    inner_group_order,
     invariants,
     is_braided,
     is_isomorphic,
@@ -98,7 +99,7 @@ def test_preset_invariants(name):
     assert inv.k2 == k2 and inv.k3 == k3
     assert inv.m == m and inv.t == t
     assert inv.degree == degree
-    assert inv.inner_group_order == inner
+    assert inner_group_order(preset(name)) == inner
     assert inv.is_braided and inv.is_indecomposable and inv.is_faithful
     # braided + indecomposable: 1 + k2 + k3 = d and nothing beyond k3
     assert 1 + inv.k2 + inv.k3 == size
