@@ -34,11 +34,11 @@ class HurwitzOrbit:
 
     __slots__ = ("rack", "arity", "tuples", "index", "edges", "inv_edges")
 
-    def __init__(self, rack, arity, tuples, edges, inv_edges):
+    def __init__(self, rack, arity, tuples, index, edges, inv_edges):
         self.rack = rack
         self.arity = arity
         self.tuples = tuples
-        self.index = {t: i for i, t in enumerate(tuples)}
+        self.index = index          # tuple -> its position in tuples
         self.edges = edges          # edges[i-1][j] = index of sigma_i(tuples[j])
         self.inv_edges = inv_edges
 
@@ -72,20 +72,20 @@ def orbit(r, tup):
     n = len(tup)
     tuples = [tup]
     index = {tup: 0}
-    head = 0
-    while head < len(tuples):
-        cur = tuples[head]
-        head += 1
+    edges = [[] for _ in range(1, n)]
+    inv_edges = [[] for _ in range(1, n)]
+    for cur in tuples:  # the list grows while it is read: breadth first
         for i in range(1, n):
-            for img in (sigma(r, i, cur), sigma_inv(r, i, cur)):
-                if img not in index:
+            for img, row in ((sigma(r, i, cur), edges[i - 1]),
+                             (sigma_inv(r, i, cur), inv_edges[i - 1])):
+                k = index.get(img)
+                if k is None:
                     if len(tuples) >= DEFAULT_ORBIT_CAP:
                         raise OrbitSizeCap("orbit exceeded cap of %d tuples" % DEFAULT_ORBIT_CAP)
-                    index[img] = len(tuples)
+                    k = index[img] = len(tuples)
                     tuples.append(img)
-    edges = [[index[sigma(r, i, t)] for t in tuples] for i in range(1, n)]
-    inv_edges = [[index[sigma_inv(r, i, t)] for t in tuples] for i in range(1, n)]
-    return HurwitzOrbit(r, n, tuples, edges, inv_edges)
+                row.append(k)
+    return HurwitzOrbit(r, n, tuples, index, edges, inv_edges)
 
 
 @dataclass
@@ -168,10 +168,6 @@ def order_isomorphism(o1, order1, o2, order2):
     ):
         raise SymmetryCheckFailed("map is not an isomorphism of the sigma-labelled orbit graphs")
     return tuple(phi)
-
-
-def _canonical_code(o):
-    return min(rooted_codes(o), key=lambda code_order: code_order[0])
 
 
 def rooted_codes(o):

@@ -22,7 +22,7 @@ from fractions import Fraction
 from . import hilbert
 from .hurwitz import orbits as hurwitz_orbits
 from .linalg import Echelon, SparseMatrix, kernel_dim, rank
-from .percolate import BOUND_ORBIT_CAP, minimal_plague_cached
+from .percolate import orbit_plague
 
 DIRECT_WORD_CAP = 3 * 10**5
 
@@ -247,16 +247,14 @@ class GradedEngine:
             self._build_degree(n)
 
     def _grade_blocks(self, n):
-        """Start degree n; its (grade, candidates) blocks, in candidate order."""
+        """Start degree n; its (grade, candidates) blocks, in discovery order."""
         blocks = {}
         mul, mats = self.grading.mul, self.grading.mats
         for j, grade in enumerate(self.grades[n - 1]):
             for y in range(self.b.dim):
                 blocks.setdefault(mul(mats[y], grade), []).append((y, j))
         self.basis[n], self.grades[n], self.nfmul[n] = [], [], {}
-        # sorted by first candidate, which keeps the pinned bases; the dict's
-        # insertion order is fixed too, and measured faster (ROADMAP item 6)
-        return sorted(blocks.items(), key=lambda block: block[1][0])
+        return list(blocks.items())
 
     def _new_word(self, n, cand, grade):
         """Make candidate (y, j) the next basis word of degree n; its index."""
@@ -399,10 +397,10 @@ class CubicKernelReport:
 def cubic_kernel(b):
     """dim ker(1 + c12 + c12 c23) summed over Hurwitz 3-orbit blocks.
 
-    Each block is checked against the immunity bound (kernel <= imm * size),
-    raising ImmunityBoundViolated if it fails; the bound is only evaluated
-    for orbit sizes <= ``percolate.BOUND_ORBIT_CAP``, where the exact
-    minimal plague search is cheap.
+    Each block is checked against the immunity bound imm * size, with imm
+    from ``percolate.orbit_plague``, raising ImmunityBoundViolated if it
+    fails; an orbit that gets no plague search there (above its cap) gets
+    the trivial bound size, never optimal.
     """
     f = b.field
     blocks = []
@@ -410,18 +408,14 @@ def cubic_kernel(b):
     for o in hurwitz_orbits(b.rack, 3):
         m = operator_matrix(f, o.tuples, lambda w: apply_x(b, {w: f.one}, 0, 3))
         dim = o.size - rank(f, m)
-        if o.size <= BOUND_ORBIT_CAP:
-            imm = minimal_plague_cached(o).immunity
-            bound = imm * o.size
-            if dim > bound:
-                raise ImmunityBoundViolated(
-                    "kernel dim %d exceeds immunity bound %s on a size-%d orbit"
-                    % (dim, bound, o.size)
-                )
-            optimal = Fraction(dim) == bound
-        else:
-            bound = Fraction(o.size)
-            optimal = False
+        res = orbit_plague(o)
+        bound = Fraction(o.size) if res is None else res.immunity * o.size
+        if dim > bound:
+            raise ImmunityBoundViolated(
+                "kernel dim %d exceeds immunity bound %s on a size-%d orbit"
+                % (dim, bound, o.size)
+            )
+        optimal = res is not None and dim == bound
         blocks.append(OrbitKernel(o.tuples[0], o.size, dim, bound, optimal))
         total += dim
     return CubicKernelReport(total=total, blocks=blocks, dim_v=b.dim)

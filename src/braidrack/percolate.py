@@ -13,7 +13,7 @@ from fractions import Fraction
 
 from .hurwitz import (
     SymmetryCheckFailed,
-    _canonical_code,
+    _bfs_code,
     orbits,
     order_isomorphism,
     rooted_codes,
@@ -177,24 +177,28 @@ def minimal_plague(o):
     )
 
 
-_BY_CODE_CACHE = {}
+# BFS code from each root of each searched orbit -> (orbit, order, result)
+_FILED = {}
 
 
-def minimal_plague_cached(o):
-    """Minimal plague keyed by the orbit's canonical graph code.
+def orbit_plague(o):
+    """The one route from a 3-orbit to its PlagueResult.
 
-    Isomorphic orbit graphs have identical closure instances up to
-    relabelling, hence equal minimal plague sizes.  On a hit the stored
-    witness is carried into o's indices by the canonical-order isomorphism,
-    which is checked against every edge, and the image is checked to be a
-    plague of o.  It is a minimal plague of o, but not necessarily o's
-    lexicographically least one.
+    A searched orbit is filed under its BFS code from every root, so a
+    lookup needs o's code from root 0 only: an isomorphism carries root 0 to
+    a root with the same code.  A hit's witness is carried into o by the
+    edge-checked BFS-order isomorphism and checked to be a plague; it is
+    minimal, but not necessarily o's lexicographically least.  An orbit
+    above ``BOUND_ORBIT_CAP`` of no filed class gives None, unsearched.
     """
-    code, order = _canonical_code(o)
-    hit = _BY_CODE_CACHE.get(code)
+    code, order = _bfs_code(o, 0)
+    hit = _FILED.get(code)
     if hit is None:
+        if o.size > BOUND_ORBIT_CAP:
+            return None
         res = minimal_plague(o)
-        _BY_CODE_CACHE[code] = (o, order, res)
+        for root_code, root_order in rooted_codes(o):
+            _FILED.setdefault(root_code, (o, root_order, res))
         return res
     first, first_order, res = hit
     phi = order_isomorphism(first, first_order, o, order)
@@ -205,14 +209,14 @@ def minimal_plague_cached(o):
 
 
 def immunity_table(r):
-    """Map orbit size -> PlagueResult over all 3-orbits of a braided rack.
+    """Map orbit size -> PlagueResult over all 3-orbits of a rack, each
+    through ``orbit_plague``.
 
-    One exact search per isomorphism class of orbit graphs (the search is
-    cached by canonical code).  Orbits of equal size are not checked to be
-    isomorphic: the table keeps the first one's result, and only the minimal
-    plague sizes of the others are compared with it; a different size raises
-    ImmunityMismatch.  A rack with an orbit above ``BOUND_ORBIT_CAP`` raises
-    OrbitTooLarge before any search.
+    Orbits of equal size need not be isomorphic (the non-braided Aff(5,2)
+    has 24-orbits of another class than the reference one): the table keeps
+    the first one's result, and a different minimal plague size on another
+    raises ImmunityMismatch.  A rack with an orbit above ``BOUND_ORBIT_CAP``
+    raises OrbitTooLarge, naming the largest, before any search.
     """
     orbs = orbits(r, 3)
     big = max(o.size for o in orbs)
@@ -221,7 +225,7 @@ def immunity_table(r):
         raise OrbitTooLarge(msg % (big, BOUND_ORBIT_CAP))
     table = {}
     for o in orbs:
-        res = minimal_plague_cached(o)
+        res = orbit_plague(o)
         prev = table.get(o.size)
         if prev is not None and prev.min_size != res.min_size:
             raise ImmunityMismatch(

@@ -164,7 +164,7 @@ def check_census(report):
 
 def check_immunity(report):
     for size in REFERENCE_SIZES:
-        res = percolate.minimal_plague_cached(reference_orbit(size))
+        res = percolate.orbit_plague(reference_orbit(size))
         report.add(
             "P2-immunity",
             "orbit-%d" % size,

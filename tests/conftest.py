@@ -5,6 +5,24 @@ def pytest_configure(config):
     config.addinivalue_line("markers", "slow: long-running certificate checks")
 
 
+@pytest.fixture
+def plague_searches(monkeypatch):
+    """Sizes of the orbits given the exact plague search, in order, with
+    percolate.orbit_plague's filed classes emptied first."""
+    from braidrack import percolate
+
+    monkeypatch.setattr(percolate, "_FILED", {})
+    searched = []
+    real = percolate.minimal_plague
+
+    def counting(o):
+        searched.append(o.size)
+        return real(o)
+
+    monkeypatch.setattr(percolate, "minimal_plague", counting)
+    return searched
+
+
 @pytest.fixture(scope="session")
 def t_new_certificate():
     """The heavy quotient computation, shared between test modules."""

@@ -1,8 +1,10 @@
+import hashlib
 import json
 import time
 
 import pytest
 
+from braidrack import percolate
 from braidrack.cli import main
 
 
@@ -142,6 +144,32 @@ def test_immunity_command(capsys):
     assert data["8"]["min_plague"] == 3
     assert data["8"]["immunity"] == "3/8"
     assert data["12"]["immunity"] == "1/3"
+
+
+# sha256 of stdout of `--format json immunity R` and `nichols cubic R
+# --max-degree 3`: witness indices and block bounds must not drift
+GOLDEN_DIGESTS = {
+    "T": ("1b00505a6f24fe80f1e890820f564e0c0767b8ecd3bf1e641fdcef53f5327d2b",
+          "535ef5d37042608545d50eb58d07e43ec050c2d77b854d82aae0bbffd6428457"),
+    "Aff(7,3)": ("f1d26b9f5a82b8bb7475c11a6844f4224a097323cf43a23ca41d19426b76457d",
+                 "aea2842c7d8f0d4be5bab5317256a0e8315ae023d893e18a48dbd21982ec541c"),
+    "Aff(5,2)": ("01183f30cf74d50ce99244b3eee97c1cc1b2af6aaab4faa7260cb5a640639f09",
+                 "3938a525a634a998aa29447bf36db48324478e46e60518e4f8f6a3bdef685018"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_DIGESTS))
+def test_immunity_and_cubic_output_is_pinned(capsys, monkeypatch, name):
+    # a fresh process has no orbit class filed; a filed class would give a
+    # mapped witness instead of the orbit's lexicographically least one
+    monkeypatch.setattr(percolate, "_FILED", {})
+    outs = [
+        run(capsys, "--format", "json", "immunity", name),
+        run(capsys, "nichols", "cubic", name, "--max-degree", "3"),
+    ]
+    assert [code for code, _ in outs] == [0, 0]
+    digests = tuple(hashlib.sha256(out.encode()).hexdigest() for _, out in outs)
+    assert digests == GOLDEN_DIGESTS[name]
 
 
 def test_immunity_on_an_orbit_above_the_search_cap_is_an_error(capsys):

@@ -99,13 +99,14 @@ def test_census_sizes_within_reference_list():
 
 
 def _isomorphism(o1, o2):
-    """The map between two orbit graphs with equal canonical codes, checked
-    on every sigma edge; None when the codes differ."""
-    code1, order1 = hurwitz._canonical_code(o1)
-    code2, order2 = hurwitz._canonical_code(o2)
-    if code1 != code2:
-        return None
-    return hurwitz.order_isomorphism(o1, order1, o2, order2)
+    """The map between two orbit graphs that sends o1's root 0 to the first
+    root of o2 with the same BFS code, checked on every sigma edge; None
+    when no root of o2 has that code."""
+    code1, order1 = hurwitz._bfs_code(o1, 0)
+    for code2, order2 in hurwitz.rooted_codes(o2):
+        if code2 == code1:
+            return hurwitz.order_isomorphism(o1, order1, o2, order2)
+    return None
 
 
 def test_all_orbits_isomorphic_to_reference_of_their_size():
@@ -129,9 +130,9 @@ def test_same_size_orbits_isomorphic_with_witness():
 
 def test_orbit_isomorphism_witness_is_checked(monkeypatch):
     o = reference_orbit(8)
-    # equal codes, but the second order is rotated: no automorphism of o
-    fake = iter([((0,), list(range(8))), ((0,), list(range(1, 8)) + [0])])
-    monkeypatch.setattr(hurwitz, "_canonical_code", lambda _o: next(fake))
+    code, order = hurwitz._bfs_code(o, 0)
+    # an equal code, but a rotated order: no automorphism of o
+    monkeypatch.setattr(hurwitz, "rooted_codes", lambda _o: [(code, order[1:] + order[:1])])
     with pytest.raises(SymmetryCheckFailed):
         _isomorphism(o, o)
 

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from braidrack import percolate
 from braidrack.braiding import (
     BraidedSpace,
     coboundary_twist,
@@ -87,10 +88,10 @@ def test_direct_and_differential_engines_agree():
 
 @pytest.mark.parametrize("space, up_to, digest", [
     pytest.param(lambda: workloads.modular_inputs(1).space, 8,
-                 "42fa58416c31df03b5493de915117a3c38f8c6428bd67da0789c7f2c051c32ce",
+                 "566d5791a3e87f85becddd8db9fa5e3a1a56527213a425e5273c7300ed19e5fe",
                  id="F7-t-new"),
     pytest.param(lambda: transposition_model("A", 1), 5,
-                 "a17c90745d8a46f233541f2a3a250d6954fdf7ee2aeceee03bc6f523e61e95b4",
+                 "1af651a2dc675f14b972261e2027eb0a4f910a90e3f15491ffcd8dce65144f13",
                  id="A-sign+1"),
 ])
 def test_nichols_engine_digest_is_pinned(space, up_to, digest):
@@ -156,6 +157,16 @@ def test_cubic_kernel_d3():
         by_size.setdefault(blk.size, []).append(blk)
     assert all(blk.kernel_dim == 0 for blk in by_size[1])
     assert all(blk.kernel_dim == 3 and blk.optimal for blk in by_size[8])
+
+
+def test_cubic_kernel_gives_orbits_above_the_cap_the_trivial_bound(plague_searches):
+    # the non-braided Aff(7,2) has 3-orbits of sizes 1, 42 and 49; only the
+    # 1-orbits get a plague search
+    ck = cubic_kernel(minus1("Aff(7,2)"))
+    big = [blk for blk in ck.blocks if blk.size > percolate.BOUND_ORBIT_CAP]
+    assert sorted({blk.size for blk in big}) == [42, 49]
+    assert all(blk.immunity_bound == blk.size and not blk.optimal for blk in big)
+    assert plague_searches == [1]
 
 
 def test_one_orbit_block_kernel_is_zero_at_minus1():

@@ -16,10 +16,12 @@ from braidrack.percolate import (
     SymmetryCheckFailed,
     automorphism_classes,
     closure_instances,
+    ImmunityMismatch,
+    PlagueResult,
     immunity_table,
     is_plague,
     minimal_plague,
-    minimal_plague_cached,
+    orbit_plague,
     quarantine_closure,
 )
 from braidrack.racks import preset
@@ -119,7 +121,8 @@ def relabel(o, perm):
             out.append(h)
         return out
 
-    return HurwitzOrbit(o.rack, o.arity, tuples, move(o.edges), move(o.inv_edges))
+    index = {t: i for i, t in enumerate(tuples)}
+    return HurwitzOrbit(o.rack, o.arity, tuples, index, move(o.edges), move(o.inv_edges))
 
 
 @settings(max_examples=40, deadline=None)
@@ -159,9 +162,45 @@ def test_automorphism_check_rejects_a_bad_class_map(monkeypatch):
 @pytest.mark.parametrize("name", ["T", "Aff(7,3)", "C"])
 def test_cached_witness_is_a_plague_of_its_own_orbit(name):
     for o in orbits(preset(name), 3):
-        res = minimal_plague_cached(o)
+        res = orbit_plague(o)
         assert is_plague(o, res.witness)
         assert res.min_size == len(res.witness) == minimal_plague(o).min_size
+
+
+def test_relabelled_orbit_resolves_from_a_moved_root(plague_searches):
+    o = reference_orbit(24)
+    orbit_plague(o)
+    # member 0 becomes member 5, and member 0 of the copy was member 19
+    perm = [(i + 5) % 24 for i in range(24)]
+    moved = relabel(o, perm)
+    res = orbit_plague(moved)
+    assert plague_searches == [24]
+    assert res.seeds_closed == 1
+    assert res.min_size == len(res.witness) == 7
+    assert is_plague(moved, res.witness)
+
+
+def test_immunity_table_of_a_ninth_orbit_class(plague_searches):
+    # the non-braided Aff(5,2): five 1-orbits and five 24-orbits that are
+    # not the reference 24-orbit's class (minimal plague 8, not 7)
+    table = immunity_table(preset("Aff(5,2)"))
+    assert {s: res.immunity for s, res in table.items()} == {1: 1, 24: Fraction(1, 3)}
+    assert table[24].min_size == 8
+    assert sorted(plague_searches) == [1, 24]
+    assert minimal_plague(reference_orbit(24)).min_size == 7
+
+
+def test_immunity_table_raises_when_equal_sizes_disagree(monkeypatch):
+    seen = {}
+
+    def disagreeing(o):
+        seen[o.size] = seen.get(o.size, 0) + 1
+        k = seen[o.size]
+        return PlagueResult(k, tuple(range(k)), Fraction(k, o.size))
+
+    monkeypatch.setattr(percolate, "orbit_plague", disagreeing)
+    with pytest.raises(ImmunityMismatch):
+        immunity_table(preset("T"))
 
 
 def test_seeds_closed_counts_the_search():
@@ -217,7 +256,7 @@ def test_immunity_tables(name):
 
 
 def test_immunity_table_certify_each_agrees():
-    # an independent search on every 3-orbit agrees with the cached table
+    # an independent search on every 3-orbit agrees with the table
     r = preset("T")
     table = immunity_table(r)
     for o in orbits(r, 3):

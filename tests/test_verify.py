@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from braidrack import nichols, percolate, verify
+from braidrack import nichols, verify
 from braidrack.percolate import PlagueResult
 
 
@@ -23,18 +23,9 @@ def _zero_immunity(orbit):
     return PlagueResult(0, (), Fraction(0))
 
 
-def test_quick_sections_search_each_orbit_class_once(monkeypatch):
-    # P2 fills the by-code cache with the eight reference orbits, so the
-    # cubic kernels of P3, P4 and P8 find every orbit class already searched
-    monkeypatch.setattr(percolate, "_BY_CODE_CACHE", {})
-    searched = []
-    real = percolate.minimal_plague
-
-    def counting(o):
-        searched.append(o.size)
-        return real(o)
-
-    monkeypatch.setattr(percolate, "minimal_plague", counting)
+def test_quick_sections_search_each_orbit_class_once(plague_searches):
+    # P2 files the eight reference orbits' classes, so the cubic kernels of
+    # P3, P4 and P8 find every orbit class already searched
     rep = verify.Report(profile="quick")
     verify.check_immunity(rep)
     verify.check_one_orbit_kernels(rep)
@@ -42,11 +33,11 @@ def test_quick_sections_search_each_orbit_class_once(monkeypatch):
     verify.check_d3_minus1(rep)
     verify.check_negative_controls(rep)
     assert rep.ok()
-    assert searched == [1, 3, 6, 8, 9, 12, 16, 24]
+    assert plague_searches == [1, 3, 6, 8, 9, 12, 16, 24]
 
 
 def test_cubic_kernel_raises_immunity_bound_violated(monkeypatch):
-    monkeypatch.setattr(nichols, "minimal_plague_cached", _zero_immunity)
+    monkeypatch.setattr(nichols, "orbit_plague", _zero_immunity)
     with pytest.raises(nichols.ImmunityBoundViolated):
         nichols.cubic_kernel(verify._structural_spaces()[0][1])
 
@@ -81,7 +72,7 @@ def test_structural_check_separates_bound_violations_from_faults(monkeypatch):
 def test_structural_check_completes_when_every_bound_is_violated(monkeypatch):
     space = verify._structural_spaces()[0]
     monkeypatch.setattr(verify, "_structural_spaces", lambda: [space])
-    monkeypatch.setattr(nichols, "minimal_plague_cached", _zero_immunity)
+    monkeypatch.setattr(nichols, "orbit_plague", _zero_immunity)
     rep = verify.Report(profile="full")
     verify.check_structural(rep, twists=2)
     assert [e.name for e in rep.entries] == [
