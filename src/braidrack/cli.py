@@ -214,7 +214,7 @@ def cmd_nichols_cubic(args):
 
 def cmd_nichols_quotient(args):
     b = _load_space(args.rack, args.cocycle, args.field)
-    rels = _load_relations(args.relations, b.field, b.dim)
+    rels = _load_relations(args.relations, b.field)
     p = presentations.Presentation(b, rels)
     eng = presentations.QuotientEngine(p)
     dims = eng.dims(args.max_degree)
@@ -225,26 +225,18 @@ def cmd_nichols_quotient(args):
     return EXIT_OK
 
 
-def _load_relations(arg, field, size):
+def _load_relations(arg, field):
     if arg in presentations.RELATION_PRESETS:
         return presentations.RELATION_PRESETS[arg].relations(field)
     with open(arg) as fh:
         data = json.load(fh)
     rels = []
     for item in data:
-        rel = {}
-        for term in item["terms"]:
-            word = presentations._words(term["word"])
-            if not all(0 <= x < size for x in word):
-                raise ValueError(
-                    "word %r has a letter outside a..%s" % (term["word"], chr(ord("a") + size - 1))
-                )
+        terms = [(term["word"], term["coeff"]) for term in item["terms"]]
+        for word, _ in terms:
             if "degree" in item and len(word) != item["degree"]:
-                raise ValueError("term %r does not match the stated degree" % term["word"])
-            if word in rel:
-                raise ValueError("word %r appears twice in one relation" % term["word"])
-            rel[word] = field.parse(term["coeff"])
-        rels.append(rel)
+                raise ValueError("term %r does not match the stated degree" % word)
+        rels.append(presentations._rel(field, terms))
     return rels
 
 

@@ -96,16 +96,26 @@ class Field:
         raise NotImplementedError
 
     def parse(self, s):
-        """The scalar a literal denotes; a malformed literal raises FieldError."""
+        """The scalar a literal denotes; a malformed literal raises FieldError.
+
+        Every field reads the one grammar of ``_poly_terms``; a term in t
+        needs a quotient ring.
+        """
         try:
-            return self._parse(s.strip().replace("−", "-"))
+            acc = self.zero
+            for num, den, k in _poly_terms(s):
+                x = self.div(self.from_int(num), self.from_int(den))
+                if k is not None:
+                    gen = getattr(self, "gen", None)
+                    if gen is None:
+                        raise ValueError("%s has no generator t" % self.spec_string())
+                    x = self.mul(x, self.pow(gen, k))
+                acc = self.add(acc, x)
+            return acc
         except (ValueError, ZeroDivisionError) as exc:
             raise FieldError(
                 "bad scalar %r for %s: %s" % (s, self.spec_string(), exc)
             ) from exc
-
-    def _parse(self, s):
-        raise NotImplementedError
 
     def to_str(self, a):
         raise NotImplementedError
@@ -183,9 +193,6 @@ class RationalField(Field):
     def from_int(self, n):
         return _rational(Fraction(n))
 
-    def _parse(self, s):
-        return _rational(Fraction(s))
-
     def to_str(self, a):
         return str(a)
 
@@ -239,12 +246,6 @@ class PrimeField(Field):
 
     def from_int(self, n):
         return n % self.p
-
-    def _parse(self, s):
-        if "/" in s:
-            num, den = s.split("/")
-            return self.div(self.from_int(int(num)), self.from_int(int(den)))
-        return self.from_int(int(s))
 
     def to_str(self, a):
         return str(a % self.p)
@@ -475,25 +476,11 @@ class QuotientRing(Field):
         out[0] = self.base.from_int(n)
         return tuple(out)
 
-    def from_base(self, c):
-        out = [self.base.zero] * self.degree
-        out[0] = c
-        return tuple(out)
-
     def coefficients(self, a):
         """The base-field coefficients of a, lowest power of t first."""
         return a
 
     # -- parsing / printing --
-
-    def _parse(self, s):
-        s = s.replace(" ", "").replace("q", "t")
-        if not s:
-            raise ValueError("empty scalar")
-        acc = self.zero
-        for coef, k in _poly_terms(self.base, s):
-            acc = self.add(acc, self.mul(self.from_base(coef), self.pow(self.gen, k)))
-        return acc
 
     def to_str(self, a):
         return _poly_text(self.base, self.coefficients(a))
@@ -603,49 +590,43 @@ class QuadraticRationalField(QuotientRing):
     def from_int(self, n):
         return (n, 0, 1)
 
-    def from_base(self, c):
-        c = Fraction(c)
-        return (c.numerator, 0, c.denominator)
-
     def coefficients(self, x):
         """(constant, t-coefficient) as QQ scalars."""
         a, b, den = x
         return _rational(Fraction(a, den)), _rational(Fraction(b, den))
 
 
-def _poly_terms(base, s):
-    """(coefficient, power of t) of each 'c*t^k' term of a sum over ``base``."""
-    i = 0
-    while i < len(s):
-        j = i + 1
-        while j < len(s) and s[j] not in "+-":
-            j += 1
-        term = s[i:j]
-        i = j
-        sign = 1
-        if term.startswith("+"):
-            term = term[1:]
-        elif term.startswith("-"):
-            sign = -1
-            term = term[1:]
-        if "t" in term:
-            coef_s, _, pow_s = term.partition("t")
-            coef_s = coef_s.rstrip("*")
-            coef = base._parse(coef_s) if coef_s else base.one
-            if pow_s.startswith("^"):
-                k = int(pow_s[1:])
-            elif pow_s == "":
-                k = 1
-            else:
-                raise ValueError("bad term %r" % term)
-        else:
-            coef = base._parse(term)
-            k = 0
-        yield (base.neg(coef) if sign < 0 else coef), k
+# one term of a literal: [sign] coef | [sign] [coef ['*']] t ['^' k], with
+# q an alias of t and whitespace allowed between tokens, not inside a number
+_TERM_RE = re.compile(
+    r"\s*([+-]?)\s*(?=[0-9tq])"
+    r"(?:([0-9]+)(?:\s*/\s*([0-9]+))?(?:\s*\*?\s*(?=[tq]))?)?"
+    r"(?:([tq])(?:\s*\^\s*([0-9]+))?)?\s*",
+    re.ASCII,
+)
+
+
+def _poly_terms(s):
+    """(signed numerator, denominator, power of t or None) of each term of a
+    literal ``[sign] term (sign term)*``; a malformed literal raises ValueError."""
+    if not isinstance(s, str):
+        raise ValueError("a literal is a string, not %s" % type(s).__name__)
+    s = s.replace("\u2212", "-")
+    terms, pos = [], 0
+    while pos < len(s) or not terms:
+        m = _TERM_RE.match(s, pos)
+        # every term after the first starts with its sign
+        if m is None or (terms and not m.group(1)):
+            raise ValueError("malformed at %r" % s[pos:])
+        sign, num, den, t, k = m.groups()
+        num = int(num or 1)
+        terms.append((-num if sign == "-" else num, int(den or 1), int(k or 1) if t else None))
+        pos = m.end()
+    return terms
 
 
 _SPEC_RE = re.compile(
-    r"^\s*(QQ|Fp\((\d+)\))\s*(?:\[t\]\s*/\s*\(([^)]+)\))?\s*$"
+    r"^\s*(QQ|Fp\((\d+)\))\s*(?:\[t\]\s*/\s*\(([^)]+)\))?\s*$", re.ASCII
 )
 
 
@@ -672,15 +653,16 @@ def parse_field(spec):
 
 
 def _parse_modulus(base, s):
-    s = s.replace(" ", "").replace("−", "-")
-    terms = {}
+    """Coefficients, lowest power first, of a modulus literal over ``base``."""
+    coeffs = []
     try:
-        for coef, k in _poly_terms(base, s):
-            terms[k] = base.add(terms.get(k, base.zero), coef)
-        deg = max(terms)
+        for num, den, k in _poly_terms(s):
+            k = k or 0
+            coeffs += [base.zero] * (k + 1 - len(coeffs))
+            coeffs[k] = base.add(coeffs[k], base.div(base.from_int(num), base.from_int(den)))
     except (ValueError, ZeroDivisionError) as exc:
         raise FieldError("bad modulus %r: %s" % (s, exc)) from exc
-    return [terms.get(k, base.zero) for k in range(deg + 1)]
+    return coeffs
 
 
 QQ = RationalField()

@@ -24,9 +24,21 @@ class Presentation:
     relations: list  # sparse dicts word -> scalar, each homogeneous
 
     def __post_init__(self):
-        for r in self.relations:
-            degs = {len(w) for w in r}
-            if len(degs) != 1:
+        f, size = self.space.field, self.space.dim
+        # a zero term is no term: it counts in no degree or grade, and a
+        # relation without one is kept as given
+        self.relations = [
+            {w: c for w, c in r.items() if not f.is_zero(c)} if any(map(f.is_zero, r.values())) else r
+            for r in self.relations
+        ]
+        for i, r in enumerate(self.relations):
+            for w in r:
+                if not all(0 <= x < size for x in w):
+                    raise ValueError("word %r has a letter outside a..%s"
+                                     % ("".join(chr(ord("a") + x) for x in w), chr(ord("a") + size - 1)))
+            if not r:
+                raise NotHomogeneous("relation %d has no nonzero term" % i)
+            if len({len(w) for w in r}) != 1:
                 raise NotHomogeneous("every relation must be homogeneous")
 
 
@@ -148,10 +160,13 @@ def _words(s):
 
 
 def _rel(field, terms):
-    """terms: list of (word string, scalar string); 'q' is the generator."""
+    """terms: list of (word string, scalar literal); 'q' is the generator."""
     out = {}
     for w, cs in terms:
-        out[_words(w)] = field.parse(cs)
+        word = _words(w)
+        if word in out:
+            raise ValueError("word %r appears twice in one relation" % w)
+        out[word] = field.parse(cs)
     return out
 
 

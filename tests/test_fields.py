@@ -145,8 +145,9 @@ def test_field_axioms_on_samples(spec):
 
 
 def _pair(f, c0, c1):
-    """c0 + c1 t from base-field coefficients, built by arithmetic."""
-    return f.add(f.from_base(c0), f.mul(f.from_base(c1), f.gen))
+    """c0 + c1 t from Fraction coefficients, built by arithmetic."""
+    c0, c1 = (f.div(f.from_int(c.numerator), f.from_int(c.denominator)) for c in (c0, c1))
+    return f.add(c0, f.mul(c1, f.gen))
 
 
 @settings(max_examples=200, deadline=None)
@@ -223,9 +224,115 @@ def test_quadratic_field_matches_the_generic_quotient_ring(uv, coeffs):
 @pytest.mark.parametrize("spec", ALL_KINDS)
 def test_malformed_literal_raises_field_error_naming_it(spec):
     f = parse_field(spec)
-    for literal in ["1+-t", "--1", "1/0", "t/2", ""]:
+    for literal in ["1+-t", "--1", "1/0", "t/2", "",
+                    "1.5", ".5", "1e3", "1e-3", "1_0", "\u0663", "1/-2", "*t", "1 2"]:
         with pytest.raises(FieldError, match=re.escape("%r for %s" % (literal, spec))):
             f.parse(literal)
+
+
+_LITERALS = ["0", "-7", "+12", "6/3", "-3/4", "\u22125", "19+16/8", "3 / 4", "1 - 1/3",
+             "t", "q^2", "2*t+1", "-q^2 - 1/2", "1/2t", "t^3", "t^0 + 3"]
+_NO_T = (None,) * 7
+# the value of each literal above in each field; None is a FieldError
+_PINNED = {
+    "QQ": (0, -7, 12, 2, Fraction(-3, 4), -5, 21, Fraction(3, 4), Fraction(2, 3)) + _NO_T,
+    "Fp(7)": (0, 0, 5, 2, 1, 2, 0, 6, 3) + _NO_T,
+    "Fp(2)": (0, 1, 0, 0, None, 1, None, None, 0) + _NO_T,
+    "QQ[t]/(t^2+t+1)": (
+        (0, 0, 1), (-7, 0, 1), (12, 0, 1), (2, 0, 1), (-3, 0, 4), (-5, 0, 1), (21, 0, 1),
+        (3, 0, 4), (2, 0, 3), (0, 1, 1), (-1, -1, 1), (1, 2, 1), (1, 2, 2), (0, 1, 2),
+        (1, 0, 1), (4, 0, 1),
+    ),
+    "Fp(2)[t]/(t^2+t+1)": (
+        (0, 0), (1, 0), (0, 0), (0, 0), None, (1, 0), None, None, (0, 0),
+        (0, 1), (1, 1), (1, 0), None, None, (1, 0), (0, 0),
+    ),
+    "QQ[t]/(t^3-2)": (
+        (0, 0, 0), (-7, 0, 0), (12, 0, 0), (2, 0, 0), (Fraction(-3, 4), 0, 0), (-5, 0, 0),
+        (21, 0, 0), (Fraction(3, 4), 0, 0), (Fraction(2, 3), 0, 0), (0, 1, 0), (0, 0, 1),
+        (1, 2, 0), (Fraction(-1, 2), 0, -1), (0, Fraction(1, 2), 0), (2, 0, 0), (4, 0, 0),
+    ),
+    "Fp(7)[t]/(t-2)": tuple((v,) for v in (0, 0, 5, 2, 1, 2, 0, 6, 3, 2, 4, 5, 6, 1, 1, 4)),
+}
+
+
+def _types(x):
+    return tuple(map(_types, x)) if type(x) is tuple else type(x)
+
+
+@pytest.mark.parametrize("spec", sorted(_PINNED))
+def test_one_grammar_pins_every_field(spec):
+    f = parse_field(spec)
+    for literal, want in zip(_LITERALS, _PINNED[spec], strict=True):
+        if want is None:
+            with pytest.raises(FieldError, match=re.escape("%r for %s" % (literal, spec))):
+                f.parse(literal)
+        else:
+            got = f.parse(literal)
+            assert (got, _types(got)) == (want, _types(want)), literal
+
+
+def test_a_literal_is_a_string():
+    # a JSON number in a cocycle or relation file
+    with pytest.raises(FieldError, match="bad scalar -1 for QQ"):
+        QQ.parse(-1)
+
+
+def test_q_aliases_t_in_a_modulus():
+    for spec in ("QQ[t]/(q^2+q+1)", "Fp(2)[t]/( q ^ 2 + q + 1 )"):
+        f = parse_field(spec)
+        assert f == parse_field(spec.replace("q", "t"))
+
+
+def test_only_ascii_digits_make_a_number():
+    with pytest.raises(FieldError):
+        parse_field("Fp(\u0667)")
+    with pytest.raises(FieldError):
+        parse_field("QQ[t]/(t^2+\u0663)")
+
+
+@st.composite
+def _literal(draw, with_t):
+    """A random literal of the scalar grammar, its value as {power of t:
+    Fraction} and its denominators."""
+    def ws():
+        return draw(st.sampled_from(["", " ", "  "]))
+
+    text, poly, dens = "", {}, []
+    for i in range(draw(st.integers(1, 4))):
+        sign = draw(st.sampled_from(["+", "-", "\u2212"] + ([""] if i == 0 else [])))
+        num, den = draw(st.integers(0, 99)), draw(st.integers(1, 12))
+        coef = str(num) if den == 1 and draw(st.booleans()) else "%d%s/%s%d" % (num, ws(), ws(), den)
+        k = draw(st.none() | st.integers(0, 5)) if with_t else None
+        if k is not None:
+            gen = draw(st.sampled_from("tq"))
+            if k != 1 or draw(st.booleans()):
+                gen += "%s^%s%d" % (ws(), ws(), k)
+            if num == den == 1 and draw(st.booleans()):
+                coef = gen
+            else:
+                coef += ws() + draw(st.sampled_from(["", "*"])) + ws() + gen
+        text += ws() + sign + ws() + coef
+        c = Fraction(num, den)
+        poly[k or 0] = poly.get(k or 0, 0) + (-c if sign in ("-", "\u2212") else c)
+        dens.append(den)
+    return text + ws(), poly, dens
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(ALL_KINDS), st.data())
+def test_a_grammar_literal_is_its_fraction_value(spec, data):
+    f = parse_field(spec)
+    text, poly, dens = data.draw(_literal(hasattr(f, "gen")))
+    if f.characteristic and any(d % f.characteristic == 0 for d in dens):
+        with pytest.raises(FieldError):
+            f.parse(text)
+        return
+    want = f.zero
+    for k, c in poly.items():
+        x = f.div(f.from_int(c.numerator), f.from_int(c.denominator))
+        want = f.add(want, f.mul(x, f.pow(f.gen, k)) if k else x)
+    assert f.parse(text) == want
 
 
 def test_bad_modulus_raises_field_error():

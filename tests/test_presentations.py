@@ -16,6 +16,7 @@ from braidrack.nichols import (
 from braidrack.presentations import (
     RELATION_PRESETS,
     Presentation,
+    _rel,
     QuotientEngine,
     d3_char2_relations,
     integral_preset,
@@ -117,6 +118,28 @@ def test_quotient_engine_grade_homogeneity_check():
     b = BraidedSpace(constant_cocycle(preset("D3"), QQ, QQ.from_int(-1)))
     with pytest.raises(NotHomogeneous):
         QuotientEngine(Presentation(b, [{(0, 0): QQ.one, (0, 1): QQ.one}]))
+
+
+@pytest.mark.parametrize("word, text", [((0, 5), "af"), ((0, -1), "a`")])
+def test_relation_letter_outside_the_rack_is_rejected_up_front(word, text):
+    # these reached the engines as an IndexError or a KeyError
+    with pytest.raises(ValueError, match="word '%s' has a letter outside a..c" % text):
+        Presentation(cocycle_preset("minus1(D3)"), [{word: 1}])
+
+
+def test_zero_terms_count_in_no_degree_or_grade():
+    b = BraidedSpace(constant_cocycle(preset("D3"), QQ, QQ.from_int(-1)))
+    p = Presentation(b, [{(0, 0): 1, (0, 1): 0, (1,): 0}])
+    assert p.relations == [{(0, 0): 1}]
+    assert quotient_dims(p, 5) == quotient_dims(Presentation(b, [{(0, 0): 1}]), 5)
+    with pytest.raises(NotHomogeneous, match="no nonzero term"):
+        Presentation(b, [{(0, 1): 0}])
+
+
+def test_a_relation_names_each_word_once():
+    F4 = parse_field("Fp(2)[t]/(t^2+t+1)")
+    with pytest.raises(ValueError, match="word 'ab' appears twice in one relation"):
+        _rel(F4, [("ab", "1"), ("ab", "q")])
 
 
 @pytest.mark.parametrize("name", ["d3char2", "t-new"])
