@@ -206,11 +206,8 @@ class _Search:
             self._harvest()
             return
         x, y = cell
-        # candidate values: current support plus one fresh element
-        cands = list(range(self.support))
-        if self.support < self.cap:
-            cands.append(self.support)
-        for z in cands:
+        # the current support plus one fresh element, which _assign cuts at the cap
+        for z in range(self.support + 1):
             if z in self.rowset[x]:
                 continue
             mark = len(self.trail)

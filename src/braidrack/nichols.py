@@ -211,12 +211,14 @@ class GradedEngine:
     letter + lower-degree basis word, together with:
 
     * grades[n][i]: the monomial-matrix grade of basis[n][i];
-    * nfmul[n][(y, j)]: the class of y * basis[n-1][j] expanded in basis[n].
+    * nfmul[n][y * nb + j], nb = len(basis[n-1]): the class of the
+      candidate y * basis[n-1][j] expanded in basis[n].
 
-    The candidates (y, j) of degree n are grouped by grade, which every
-    elimination respects, and the grade block is the one unit in which
-    vectors are built and eliminated.  A subclass's ``_build_degree`` takes
-    degree n's blocks from ``_grade_blocks`` and hands each to its
+    That key is a candidate's one name, in nfmul and in every vector and
+    echelon row.  The candidates of degree n are grouped by grade, which
+    every elimination respects, and the grade block is the one unit in
+    which vectors are built and eliminated.  A subclass's ``_build_degree`` takes
+    degree n's blocks of keys from ``_grade_blocks`` and hands each to its
     ``_reduce_block``, which builds that block's vectors, eliminates them,
     picks the block's basis words through ``_new_word`` and sets nfmul of
     the other candidates.  NicholsEngine's vectors are the candidates'
@@ -234,9 +236,11 @@ class GradedEngine:
             0: [self.grading.unit],
             1: [self.grading.of_word((x,)) for x in range(d)],
         }
-        self.nfmul = {1: {(x, 0): {x: self.f.one} for x in range(d)}}
+        self.nfmul = {1: [{x: self.f.one} for x in range(d)]}
 
     def dims(self, up_to):
+        if up_to < 0:
+            raise ValueError("the degree must be nonnegative, got %d" % up_to)
         # one degree per extend call, so each degree is timed on its own
         for n in range(up_to + 1):
             self.extend(n)
@@ -247,32 +251,33 @@ class GradedEngine:
             self._build_degree(n)
 
     def _grade_blocks(self, n):
-        """Start degree n; its (grade, candidates) blocks, in discovery order."""
+        """Start degree n; its (grade, candidate keys) blocks, in discovery order."""
         blocks = {}
         mul, mats = self.grading.mul, self.grading.mats
+        d, nb = self.b.dim, len(self.grades[n - 1])
         for j, grade in enumerate(self.grades[n - 1]):
-            for y in range(self.b.dim):
-                blocks.setdefault(mul(mats[y], grade), []).append((y, j))
-        self.basis[n], self.grades[n], self.nfmul[n] = [], [], {}
+            for y in range(d):
+                blocks.setdefault(mul(mats[y], grade), []).append(y * nb + j)
+        self.basis[n], self.grades[n], self.nfmul[n] = [], [], [None] * (d * nb)
         return list(blocks.items())
 
-    def _new_word(self, n, cand, grade):
-        """Make candidate (y, j) the next basis word of degree n; its index."""
-        y, j = cand
+    def _new_word(self, n, key, grade):
+        """Make candidate ``key`` the next basis word of degree n; its index."""
+        y, j = divmod(key, len(self.basis[n - 1]))
         words = self.basis[n]
         i = len(words)
         words.append((y,) + self.basis[n - 1][j])
         self.grades[n].append(grade)
-        self.nfmul[n][cand] = {i: self.f.one}
+        self.nfmul[n][key] = {i: self.f.one}
         return i
 
     def _lmul(self, y, coords, n):
         """y times a vector in basis[n-1] coordinates, in basis[n] coordinates."""
         out = {}
-        nf = self.nfmul[n]
+        nf, ynb = self.nfmul[n], y * len(self.basis[n - 1])
         axpy = self.f.axpy
         for j, c in coords.items():
-            axpy(out, nf[(y, j)], c)
+            axpy(out, nf[ynb + j], c)
         return out
 
     def _word_times(self, word, coords, n):
@@ -296,32 +301,30 @@ class GradedEngine:
 class NicholsEngine(GradedEngine):
     """Graded data of the braided space's quotient by the symmetrizer kernels.
 
-    Besides the basis and nfmul of :class:`GradedEngine` it keeps
-    dmat[n][x][i], d_x of basis[n][i] expanded in basis[n-1] (None when it
-    is zero: most are, and an empty dict per pair costs memory).  A candidate
-    is eliminated when its derivations depend on those of the candidates
-    before it in its block: u lies in ker S_n exactly when every d_x(u)
-    lies in ker S_{n-1}.
+    Besides the basis and nfmul of :class:`GradedEngine` it keeps, for its
+    top degree n only, dmat[x][i]: d_x of basis[n][i] expanded in
+    basis[n-1] (None when it is zero: most are, and an empty dict per pair
+    costs memory).  A candidate is eliminated when its derivations depend
+    on those of the candidates before it in its block: u lies in ker S_n
+    exactly when every d_x(u) lies in ker S_{n-1}.
     """
 
     def __init__(self, b):
         super().__init__(b)
-        self.dmat = {1: [[{0: self.f.one} if w[0] == x else None for w in self.basis[1]]
-                         for x in range(b.dim)]}
-        self._phi = [b.rack.phi(x) for x in range(b.dim)]
+        self.dmat = [[{0: self.f.one} if w[0] == x else None for w in self.basis[1]]
+                     for x in range(b.dim)]
 
     def _build_degree(self, n):
-        self.dmat[n] = [[] for _ in range(self.b.dim)]
+        prev_d, self.dmat = self.dmat, [[] for _ in range(self.b.dim)]
         for grade, cands in self._grade_blocks(n):
-            self._reduce_block(n, grade, cands)
+            self._reduce_block(n, grade, cands, prev_d)
 
-    def _reduce_block(self, n, grade, cands):
+    def _reduce_block(self, n, grade, cands, prev_d):
         f = self.f
         axpy, one = f.axpy, f.one
-        d, q, phi = self.b.dim, self.b.cocycle.q, self._phi
-        prev_d = self.dmat[n - 1]
+        d, q, t = self.b.dim, self.b.cocycle.q, self.b.rack.table
         nb = len(self.basis[n - 1])
-        dm = self.dmat[n]
+        dm, nf = self.dmat, self.nfmul[n]
         # a row holds at key top + i its coefficient on the derivation vector
         # of basis word i; every derivation key is below top, so these keys
         # are never pivots and the row operations carry them along
@@ -332,13 +335,13 @@ class NicholsEngine(GradedEngine):
         ech = Echelon(f)
         for cand in cands:
             # the candidate's derivations (d_x)_x at keys x * nb + i; they read
-            # only dmat[n-1] and nfmul[n-1], so each is built as it is reduced
-            y, j = cand
-            vec = {y * nb + j: one}  # delta term of d_y
+            # only prev_d and nfmul[n-1], so each is built as it is reduced
+            y, j = divmod(cand, nb)
+            vec = {cand: one}  # delta term of d_y
             for xp in range(d):
                 dv = prev_d[xp][j]
                 if dv:
-                    xnb = phi[y][xp] * nb
+                    xnb = t[y][xp] * nb
                     ydv = self._lmul(y, dv, n - 1)
                     axpy(vec, {xnb + i: c for i, c in ydv.items()}, q[y][xp])
             rest = dict(vec)
@@ -361,7 +364,7 @@ class NicholsEngine(GradedEngine):
                 ech.insert(rest)
             else:
                 # dependent: rest is minus its class in the chosen words
-                self.nfmul[n][cand] = {index[k]: f.neg(c) for k, c in rest.items()}
+                nf[cand] = {index[k]: f.neg(c) for k, c in rest.items()}
 
 
 def graded_dims(b, up_to):

@@ -135,14 +135,14 @@ class QuotientEngine(GradedEngine):
             if ideal.add(self._place_relation(self.p.relations[i], tail_deg, bidx, nb)):
                 made_rows.add(i)
         index = {}
-        for y, j in cands:
-            if y * nb + j not in ideal.rows:
-                index[y * nb + j] = self._new_word(n, (y, j), grade)
-        for y, j in cands:
-            key = y * nb + j
+        for key in cands:
+            if key not in ideal.rows:
+                index[key] = self._new_word(n, key, grade)
+        nf = self.nfmul[n]
+        for key in cands:
             row = ideal.rows.get(key)
             if row is not None:
-                self.nfmul[n][(y, j)] = {index[k]: f.neg(v) for k, v in row.items() if k != key}
+                nf[key] = {index[k]: f.neg(v) for k, v in row.items() if k != key}
         return made_rows
 
 

@@ -92,6 +92,17 @@ def test_relation_repeating_a_word_is_an_error(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("argv", [
+    ["nichols", "dims", "D3"],
+    ["nichols", "quotient", "--cocycle", "d3char2", "--relations", "d3char2"],
+])
+def test_negative_degree_is_an_error(capsys, argv):
+    code = main(argv + ["--max-degree", "-1"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert "got -1" in captured.err
+
+
+@pytest.mark.parametrize("argv", [
     ["nichols", "dims"],
     ["nichols", "dims", "--cocycle", "minus1"],
     ["nichols", "cubic"],

@@ -95,19 +95,37 @@ def test_direct_and_differential_engines_agree():
                  id="A-sign+1"),
 ])
 def test_nichols_engine_digest_is_pinned(space, up_to, digest):
-    # sha256 over repr of (n, basis[n], sorted nfmul[n]) for every degree.
+    # sha256 over repr of (n, basis[n], sorted nfmul[n]) for every degree,
+    # nfmul[n] listed as ((y, j), coords) pairs: the pins were taken when a
+    # candidate was named by the tuple (y, j) rather than the key y * nb + j.
     # The QQ pin was taken when every QQ scalar was a Fraction; an integral
     # one is an int now, equal in value but not in repr, so it is hashed as
     # Fraction(c)
     eng = NicholsEngine(space())
     eng.dims(up_to)
     scalar = Fraction if eng.f == QQ else (lambda c: c)
-    data = [
-        (n, eng.basis[n], sorted((k, sorted((i, scalar(c)) for i, c in v.items()))
-                                 for k, v in eng.nfmul[n].items()))
-        for n in sorted(eng.nfmul)
-    ]
+    data = []
+    for n in sorted(eng.nfmul):
+        nb = len(eng.basis[n - 1])
+        assert len(eng.nfmul[n]) == eng.b.dim * nb and None not in eng.nfmul[n]
+        data.append((n, eng.basis[n], [
+            (divmod(key, nb), sorted((i, scalar(c)) for i, c in v.items()))
+            for key, v in enumerate(eng.nfmul[n])
+        ]))
     assert hashlib.sha256(repr(data).encode()).hexdigest() == digest
+
+
+def test_nichols_engine_keeps_the_top_degree_derivations_only():
+    space = workloads.modular_inputs(1).space
+    eng = NicholsEngine(space)
+    eng.dims(10)
+    # one table dmat[x][i] for the basis words of degree 10
+    assert len(eng.dmat) == space.dim
+    assert all(len(col) == len(eng.basis[10]) for col in eng.dmat)
+    eng.extend(11)
+    fresh = NicholsEngine(space)
+    assert [len(eng.basis[n]) for n in range(12)] == fresh.dims(11)
+    assert eng.basis[11] == fresh.basis[11] and eng.nfmul[11] == fresh.nfmul[11]
 
 
 @pytest.mark.parametrize("space", [
@@ -121,7 +139,9 @@ def test_nfmul_relations_lie_in_the_symmetrizer_kernel(space):
     dependent = 0
     for n in range(2, 5):
         words = set(eng.basis[n])
-        for (y, j), coords in eng.nfmul[n].items():
+        nb = len(eng.basis[n - 1])
+        for key, coords in enumerate(eng.nfmul[n]):
+            y, j = divmod(key, nb)
             word = (y,) + eng.basis[n - 1][j]
             if word in words:
                 continue

@@ -271,8 +271,9 @@ class _CheckBlockContract(_PlaceEveryRelation):
             tail_deg = n - self.rel_degrees[i]
             vec = self._place_relation(r, tail_deg, bidx, nb)
             if vec:
-                y, j = divmod(next(iter(vec)), nb)
-                assert (y, j) in cands
+                key = next(iter(vec))
+                assert key in cands
+                y, j = divmod(key, nb)
                 assert mul(mats[y], self.grades[n - 1][j]) == grade
                 assert mul(self.grading.of_word(next(iter(r))), self.grades[tail_deg][bidx]) == grade
                 self.checked += 1
@@ -305,11 +306,16 @@ def test_every_placement_has_the_grade_of_its_block(name):
 
 
 def _quotient_digest(eng):
-    # sha256 over repr of (n, basis[n], sorted nfmul[n]) for every degree
-    data = [
-        (n, eng.basis[n], sorted((k, sorted(v.items())) for k, v in eng.nfmul[n].items()))
-        for n in sorted(eng.nfmul)
-    ]
+    # sha256 over repr of (n, basis[n], sorted nfmul[n]) for every degree,
+    # nfmul[n] listed as ((y, j), coords) pairs: the pins were taken when a
+    # candidate was named by the tuple (y, j) rather than the key y * nb + j
+    data = []
+    for n in sorted(eng.nfmul):
+        nb = len(eng.basis[n - 1])
+        assert len(eng.nfmul[n]) == eng.b.dim * nb and None not in eng.nfmul[n]
+        data.append((n, eng.basis[n], [
+            (divmod(key, nb), sorted(v.items())) for key, v in enumerate(eng.nfmul[n])
+        ]))
     return hashlib.sha256(repr(data).encode()).hexdigest()
 
 
