@@ -187,7 +187,7 @@ def cmd_nichols_dims(args):
 
 def cmd_nichols_cubic(args):
     b = _load_space(args.rack, args.cocycle, args.field)
-    rep = nichols.check_conditions(b, max(3, args.max_degree))
+    rep = nichols.check_conditions(b, args.max_degree)
     ck = rep.cubic
     payload = {
         "field": b.field.spec_string(),

@@ -16,6 +16,9 @@ raises NotBlockDiagonal when an image leaves the block.
 from __future__ import annotations
 
 import itertools
+import os
+import threading
+import time
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -25,6 +28,13 @@ from .linalg import Echelon, SparseMatrix, kernel_dim, rank
 from .percolate import orbit_plague
 
 DIRECT_WORD_CAP = 3 * 10**5
+
+# a degree's blocks are forked out only when the degree before took this long
+# (on a 2-core host, forking and merging a degree of tiny blocks took about
+# 3 ms); _PARTS, if set, replaces the one process per usable CPU.  Both are
+# private: the tests set them to force either side, and nothing else should.
+_FORK_SECONDS = 0.05
+_PARTS = None
 
 
 class DegreeCap(Exception):
@@ -217,13 +227,22 @@ class GradedEngine:
     That key is a candidate's one name, in nfmul and in every vector and
     echelon row.  The candidates of degree n are grouped by grade, which
     every elimination respects, and the grade block is the one unit in
-    which vectors are built and eliminated.  A subclass's ``_build_degree`` takes
-    degree n's blocks of keys from ``_grade_blocks`` and hands each to its
-    ``_reduce_block``, which builds that block's vectors, eliminates them,
-    picks the block's basis words through ``_new_word`` and sets nfmul of
-    the other candidates.  NicholsEngine's vectors are the candidates'
-    derivations; QuotientEngine's are the placements r * b, whose grade
-    grade(r) * grade(b) is known before they are placed.
+    which vectors are built and eliminated.  A subclass's ``_build_degree``
+    takes degree n's blocks of keys from ``_grade_blocks`` and hands them to
+    ``_run_blocks`` with ``ctx``, what its blocks read of degree n.  Each
+    block goes to the subclass's ``_reduce_block(n, grade, keys, ctx)``,
+    which builds the block's vectors, eliminates them and returns
+    (new, forms, extra): the keys that become basis words, in order, each
+    other candidate's class in block-local indices (positions in new), and
+    what else the subclass keeps; ``_merge_block`` appends them to degree n.
+    NicholsEngine's vectors are the candidates' derivations; QuotientEngine's
+    are the placements r * b, whose grade grade(r) * grade(b) is known
+    before they are placed.
+
+    A block reads only lower degrees and ctx, never another block's output,
+    so the blocks of a degree may run in separate processes
+    (:mod:`braidrack.parallel`).  ``seconds[n]`` is the wall time of degree
+    n and ``parts[n]`` the number of processes its blocks ran in.
     """
 
     def __init__(self, b):
@@ -237,6 +256,8 @@ class GradedEngine:
             1: [self.grading.of_word((x,)) for x in range(d)],
         }
         self.nfmul = {1: [{x: self.f.one} for x in range(d)]}
+        self.seconds = {}
+        self.parts = {}
 
     def dims(self, up_to):
         if up_to < 0:
@@ -248,7 +269,9 @@ class GradedEngine:
 
     def extend(self, up_to):
         for n in range(max(self.basis) + 1, up_to + 1):
+            start = time.perf_counter()
             self._build_degree(n)
+            self.seconds[n] = time.perf_counter() - start
 
     def _grade_blocks(self, n):
         """Start degree n; its (grade, candidate keys) blocks, in discovery order."""
@@ -260,6 +283,47 @@ class GradedEngine:
                 blocks.setdefault(mul(mats[y], grade), []).append(y * nb + j)
         self.basis[n], self.grades[n], self.nfmul[n] = [], [], [None] * (d * nb)
         return list(blocks.items())
+
+    def _run_blocks(self, n, blocks, ctx):
+        """Reduce and merge every block of degree n in discovery order; the extras.
+
+        When degree n-1 took ``_FORK_SECONDS`` or more, ``parallel.run_blocks``
+        spreads the blocks over forked processes.  Wherever a block runs, it
+        is reduced by the same ``_reduce_block`` and merged here by the same
+        ``_merge_block``, so the degree does not depend on where it ran.
+        """
+        parts = self.parts[n] = self._part_count(n, len(blocks))
+        if parts > 1:
+            # imported by a degree that forks, so an in-process run neither
+            # compiles the module nor loads the pickler
+            from .parallel import run_blocks
+
+            return run_blocks(self, n, blocks, ctx, parts)
+        return [self._merge_block(n, grade, self._reduce_block(n, grade, keys, ctx))
+                for grade, keys in blocks]
+
+    def _part_count(self, n, nblocks):
+        """Processes for degree n: one per usable CPU if degree n-1 took long."""
+        # fork is unsafe in a process with threads; a platform without
+        # sched_getaffinity (or fork) runs every block in-process
+        if (self.seconds.get(n - 1, 0.0) < _FORK_SECONDS or threading.active_count() > 1
+                or not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity")):
+            return 1
+        return max(1, min(_PARTS or len(os.sched_getaffinity(0)), nblocks))
+
+    def _merge_block(self, n, grade, out):
+        """Append a block's basis words to degree n, set its forms; its extra.
+
+        Each form is rebuilt on the index ints that _new_word made, so
+        nfmul's dicts share one int per basis word, where a remapped or
+        unpickled index would be a new int per entry past 256.
+        """
+        new, forms, extra = out
+        index = [self._new_word(n, key, grade) for key in new]
+        nf = self.nfmul[n]
+        for key, form in forms:
+            nf[key] = {index[i]: c for i, c in form.items()}
+        return extra
 
     def _new_word(self, n, key, grade):
         """Make candidate ``key`` the next basis word of degree n; its index."""
@@ -316,22 +380,26 @@ class NicholsEngine(GradedEngine):
 
     def _build_degree(self, n):
         prev_d, self.dmat = self.dmat, [[] for _ in range(self.b.dim)]
-        for grade, cands in self._grade_blocks(n):
-            self._reduce_block(n, grade, cands, prev_d)
+        self._run_blocks(n, self._grade_blocks(n), prev_d)
+
+    def _merge_block(self, n, grade, out):
+        """Merge a block and append its derivation columns to dmat at once,
+        so no block's column lists outlive its merge."""
+        for col, part in zip(self.dmat, super()._merge_block(n, grade, out)):
+            col.extend(part)
 
     def _reduce_block(self, n, grade, cands, prev_d):
+        """Eliminate the block's derivations; its words, forms and dmat columns."""
         f = self.f
         axpy, one = f.axpy, f.one
         d, q, t = self.b.dim, self.b.cocycle.q, self.b.rack.table
         nb = len(self.basis[n - 1])
-        dm, nf = self.dmat, self.nfmul[n]
+        # dm[x][i]: d_x of the block's basis word i
+        new, forms, dm = [], [], [[] for _ in range(d)]
         # a row holds at key top + i its coefficient on the derivation vector
-        # of basis word i; every derivation key is below top, so these keys
-        # are never pivots and the row operations carry them along
+        # of the block's basis word i; every derivation key is below top, so
+        # these keys are never pivots and the row operations carry them along
         top = d * nb
-        # key top + i -> i: nfmul's dicts then share one int per basis word,
-        # where k - top would allocate an int for each entry past 256
-        index = {}
         ech = Echelon(f)
         for cand in cands:
             # the candidate's derivations (d_x)_x at keys x * nb + i; they read
@@ -347,7 +415,8 @@ class NicholsEngine(GradedEngine):
             rest = dict(vec)
             ech.reduce(rest)
             if min(rest, default=top) < top:
-                i = self._new_word(n, cand, grade)
+                i = len(new)
+                new.append(cand)
                 for col in dm:
                     col.append(None)
                 for key, c in vec.items():
@@ -356,15 +425,14 @@ class NicholsEngine(GradedEngine):
                     if dx is None:
                         dm[x][i] = dx = {}
                     dx[i1] = c
-                key = top + i
-                index[key] = i
                 # set after reduce; set before, it would precede the keys reduce
                 # adds, which reorders (but does not change) nfmul's dicts
-                rest[key] = f.one
+                rest[top + i] = one
                 ech.insert(rest)
             else:
                 # dependent: rest is minus its class in the chosen words
-                nf[cand] = {index[k]: f.neg(c) for k, c in rest.items()}
+                forms.append((cand, {k - top: f.neg(c) for k, c in rest.items()}))
+        return new, forms, dm
 
 
 def graded_dims(b, up_to):
@@ -446,7 +514,7 @@ def check_conditions(b, hilbert_degree=4):
     (n)_t, (n)_{t^2} (a truncated check, not a certificate).
     """
     if hilbert_degree < 3:
-        raise ValueError("hilbert_degree must be >= 3")
+        raise ValueError("hilbert_degree must be >= 3, got %d" % hilbert_degree)
     dims = graded_dims(b, hilbert_degree)
     ck = cubic_kernel(b)
     dv = b.dim

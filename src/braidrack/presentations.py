@@ -95,9 +95,6 @@ class QuotientEngine(GradedEngine):
 
     def _build_degree(self, n):
         blocks = self._grade_blocks(n)
-        # a degree with no candidates places nothing, so it retires nothing
-        if not blocks:
-            return
         # each grade's placements (relation index, tail basis index), in
         # relation-list order: r * b has grade grade(r) * grade(b)
         placements = {}
@@ -109,10 +106,12 @@ class QuotientEngine(GradedEngine):
             idle.add(i)
             for bidx, h in enumerate(self.grades[tail_deg]):
                 placements.setdefault(self.grading.mul(g, h), []).append((i, bidx))
-        for grade, cands in blocks:
-            idle -= self._reduce_block(n, grade, cands, placements.get(grade, ()))
-        for i in sorted(idle):
-            self.retired[i] = n
+        for made_rows in self._run_blocks(n, blocks, placements):
+            idle -= made_rows
+        # a degree with no candidates places nothing, so it retires nothing
+        if blocks:
+            for i in sorted(idle):
+                self.retired[i] = n
 
     def _place_relation(self, r, tail_deg, bidx, nb):
         """pi(r * basis[tail_deg][bidx]) in candidate coordinates of degree n."""
@@ -125,25 +124,21 @@ class QuotientEngine(GradedEngine):
         return out
 
     def _reduce_block(self, n, grade, cands, placements):
-        """Place and eliminate the block's relations; the indices that made a row."""
+        """Place and eliminate the block's relations; its words, forms and
+        the indices of the relations that made a row."""
         f = self.f
         nb = len(self.basis[n - 1])
         ideal = Echelon(f)
         made_rows = set()
-        for i, bidx in placements:
+        for i, bidx in placements.get(grade, ()):
             tail_deg = n - self.rel_degrees[i]
             if ideal.add(self._place_relation(self.p.relations[i], tail_deg, bidx, nb)):
                 made_rows.add(i)
-        index = {}
-        for key in cands:
-            if key not in ideal.rows:
-                index[key] = self._new_word(n, key, grade)
-        nf = self.nfmul[n]
-        for key in cands:
-            row = ideal.rows.get(key)
-            if row is not None:
-                nf[key] = {index[k]: f.neg(v) for k, v in row.items() if k != key}
-        return made_rows
+        new = [key for key in cands if key not in ideal.rows]
+        index = {key: i for i, key in enumerate(new)}
+        forms = [(key, {index[k]: f.neg(v) for k, v in row.items() if k != key})
+                 for key, row in ideal.rows.items()]
+        return new, forms, made_rows
 
 
 def quotient_dims(p, up_to):

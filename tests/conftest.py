@@ -23,6 +23,20 @@ def plague_searches(monkeypatch):
     return searched
 
 
+@pytest.fixture
+def blocks_in_parts(monkeypatch):
+    """force(k) runs every later graded-engine degree with k >= 2 grade
+    blocks in k processes, through the runner's private threshold and part
+    count; force(1) keeps every degree in-process."""
+    from braidrack import nichols
+
+    def force(parts):
+        monkeypatch.setattr(nichols, "_FORK_SECONDS", 0.0 if parts > 1 else float("inf"))
+        monkeypatch.setattr(nichols, "_PARTS", parts)
+
+    return force
+
+
 @pytest.fixture(scope="session")
 def t_new_certificate():
     """The heavy quotient computation, shared between test modules."""

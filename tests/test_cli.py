@@ -102,6 +102,15 @@ def test_negative_degree_is_an_error(capsys, argv):
     assert "got -1" in captured.err
 
 
+@pytest.mark.parametrize("degree", ["2", "0", "-1"])
+def test_cubic_below_degree_3_is_an_error(capsys, degree):
+    # the series is cut at the degree asked for, never silently at 3
+    code = main(["nichols", "cubic", "D3", "--max-degree", degree])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert "must be >= 3, got %s" % degree in captured.err
+
+
 @pytest.mark.parametrize("argv", [
     ["nichols", "dims"],
     ["nichols", "dims", "--cocycle", "minus1"],

@@ -1,6 +1,9 @@
 import hashlib
 import itertools
+import os
 import random
+import signal
+import subprocess
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -41,6 +44,7 @@ from braidrack.nichols import (
     operator_matrix,
     symmetrizer_apply,
 )
+from braidrack.parallel import BlockProcessError, runs
 from braidrack.racks import preset, trivial_rack
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
@@ -86,23 +90,23 @@ def test_direct_and_differential_engines_agree():
             assert eng.dims(n)[n] == graded_dim_direct(b, n)
 
 
-@pytest.mark.parametrize("space, up_to, digest", [
+NICHOLS_PINS = [
     pytest.param(lambda: workloads.modular_inputs(1).space, 8,
                  "566d5791a3e87f85becddd8db9fa5e3a1a56527213a425e5273c7300ed19e5fe",
                  id="F7-t-new"),
     pytest.param(lambda: transposition_model("A", 1), 5,
                  "1af651a2dc675f14b972261e2027eb0a4f910a90e3f15491ffcd8dce65144f13",
                  id="A-sign+1"),
-])
-def test_nichols_engine_digest_is_pinned(space, up_to, digest):
+]
+
+
+def _nichols_digest(eng):
     # sha256 over repr of (n, basis[n], sorted nfmul[n]) for every degree,
     # nfmul[n] listed as ((y, j), coords) pairs: the pins were taken when a
     # candidate was named by the tuple (y, j) rather than the key y * nb + j.
     # The QQ pin was taken when every QQ scalar was a Fraction; an integral
     # one is an int now, equal in value but not in repr, so it is hashed as
     # Fraction(c)
-    eng = NicholsEngine(space())
-    eng.dims(up_to)
     scalar = Fraction if eng.f == QQ else (lambda c: c)
     data = []
     for n in sorted(eng.nfmul):
@@ -112,7 +116,96 @@ def test_nichols_engine_digest_is_pinned(space, up_to, digest):
             (divmod(key, nb), sorted((i, scalar(c)) for i, c in v.items()))
             for key, v in enumerate(eng.nfmul[n])
         ]))
-    assert hashlib.sha256(repr(data).encode()).hexdigest() == digest
+    return hashlib.sha256(repr(data).encode()).hexdigest()
+
+
+@pytest.mark.parametrize("space, up_to, digest", NICHOLS_PINS)
+def test_nichols_engine_digest_is_pinned(space, up_to, digest, blocks_in_parts):
+    blocks_in_parts(1)
+    eng = NicholsEngine(space())
+    eng.dims(up_to)
+    assert set(eng.parts.values()) == {1}
+    assert _nichols_digest(eng) == digest
+
+
+@pytest.mark.parametrize("parts", [2, 3], ids=["2-part", "3-part"])
+@pytest.mark.parametrize("space, up_to, digest", NICHOLS_PINS)
+def test_nichols_engine_digest_is_pinned_in_forked_parts(space, up_to, digest, parts, blocks_in_parts):
+    # the same pin when every degree's blocks run in 2 or 3 processes
+    blocks_in_parts(parts)
+    eng = NicholsEngine(space())
+    eng.dims(up_to)
+    assert max(eng.parts.values()) == parts
+    assert _nichols_digest(eng) == digest
+
+
+class _FailInChild(NicholsEngine):
+    """Raises, or kills itself, in every grade block reduced outside the
+    process that built the engine."""
+
+    def __init__(self, b, how):
+        super().__init__(b)
+        self.how, self.home = how, os.getpid()
+
+    def _reduce_block(self, n, grade, cands, prev_d):
+        if os.getpid() != self.home:
+            if self.how == "raise":
+                raise ArithmeticError("block of degree %d broke" % n)
+            os.kill(os.getpid(), signal.SIGKILL)
+        return super()._reduce_block(n, grade, cands, prev_d)
+
+
+@pytest.mark.parametrize("how, message", [
+    ("raise", "ArithmeticError: block of degree 2 broke"),
+    ("kill", "was killed by signal %d" % signal.SIGKILL),
+])
+def test_a_failed_block_process_is_a_named_fault(how, message, blocks_in_parts):
+    blocks_in_parts(2)
+    eng = _FailInChild(minus1("T"), how)
+    with pytest.raises(BlockProcessError) as info:
+        eng.dims(3)
+    assert message in str(info.value)
+    if how == "raise":
+        # the child's traceback, with the line that raised
+        assert "Traceback (most recent call last)" in str(info.value)
+        assert "in _reduce_block" in str(info.value)
+    # every child was reaped
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_a_block_failing_in_the_parent_reaps_its_children(blocks_in_parts):
+    class FailAtHome(NicholsEngine):
+        def _reduce_block(self, n, grade, cands, prev_d):
+            if os.getpid() == home:
+                raise ArithmeticError("broke at home")
+            return super()._reduce_block(n, grade, cands, prev_d)
+
+    home = os.getpid()
+    blocks_in_parts(3)
+    with pytest.raises(ArithmeticError, match="broke at home"):
+        FailAtHome(minus1("T")).dims(3)
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_runs_are_contiguous_and_balanced_by_candidates():
+    assert runs([5, 5, 5, 5], 1) == [range(0, 4)]
+    assert runs([5, 5, 5, 5], 2) == [range(0, 2), range(2, 4)]
+    assert runs([9, 1, 1, 1, 1, 1, 1, 1, 1, 1], 2) == [range(0, 1), range(1, 10)]
+    assert runs([1, 1, 8], 3) == [range(0, 1), range(1, 2), range(2, 3)]
+    assert runs([], 1) == [range(0, 0)]
+
+
+def test_import_leaves_the_process_runner_and_pickle_unloaded():
+    # both are imported only by a degree that forks
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    code = "import sys, braidrack; print(sorted(m for m in sys.modules if 'pickle' in m or m == 'braidrack.parallel'))"
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, check=True,
+    )
+    assert out.stdout.strip() == "[]"
 
 
 def test_nichols_engine_keeps_the_top_degree_derivations_only():

@@ -1,8 +1,10 @@
 import hashlib
+import os
 import random
 
 import pytest
 
+from braidrack import nichols
 from braidrack.braiding import BraidedSpace, cocycle_preset, constant_cocycle, table_cocycle
 from braidrack.fields import GF, QQ, parse_field
 from braidrack.hilbert import expand_product
@@ -258,7 +260,9 @@ class _CheckBlockContract(_PlaceEveryRelation):
     """Checks the grade of every placement handed to a grade block.
 
     A nonzero placement r * b handed to the block of grade g must have its
-    first candidate key in that block, and g = grade(r) * grade(b).
+    first candidate key in that block, and g = grade(r) * grade(b).  A block
+    may run in a forked process, so it returns its count of checked
+    placements beside its extra, and the merge adds it up.
     """
 
     checked = 0
@@ -266,7 +270,8 @@ class _CheckBlockContract(_PlaceEveryRelation):
     def _reduce_block(self, n, grade, cands, placements):
         nb = len(self.basis[n - 1])
         mul, mats = self.grading.mul, self.grading.mats
-        for i, bidx in placements:
+        checked = 0
+        for i, bidx in placements.get(grade, ()):
             r = self.p.relations[i]
             tail_deg = n - self.rel_degrees[i]
             vec = self._place_relation(r, tail_deg, bidx, nb)
@@ -276,8 +281,14 @@ class _CheckBlockContract(_PlaceEveryRelation):
                 y, j = divmod(key, nb)
                 assert mul(mats[y], self.grades[n - 1][j]) == grade
                 assert mul(self.grading.of_word(next(iter(r))), self.grades[tail_deg][bidx]) == grade
-                self.checked += 1
-        return super()._reduce_block(n, grade, cands, placements)
+                checked += 1
+        new, forms, made_rows = super()._reduce_block(n, grade, cands, placements)
+        return new, forms, (made_rows, checked)
+
+    def _merge_block(self, n, grade, out):
+        made_rows, checked = super()._merge_block(n, grade, out)
+        self.checked += checked
+        return made_rows
 
 
 def _nonzero_placements(eng, up_to):
@@ -319,16 +330,68 @@ def _quotient_digest(eng):
     return hashlib.sha256(repr(data).encode()).hexdigest()
 
 
-def test_d3_char2_quotient_digest_is_pinned():
+D3_CHAR2_QUOTIENT_PIN = "f9cade576f3608d3dc6272341d495fd4919ab9628fdfae74b03258d0d1e1c43f"
+T_NEW_F7_QUOTIENT_PIN = "ed999dd3122a6b0a233a7a725cfc8023984eb675e93fd05e7ef879979b77cce5"
+
+
+def _d3_char2_quotient(up_to):
     space, rels, _, _ = integral_preset("d3char2")
     eng = QuotientEngine(Presentation(space, rels))
-    eng.dims(21)
-    assert _quotient_digest(eng) == "f9cade576f3608d3dc6272341d495fd4919ab9628fdfae74b03258d0d1e1c43f"
+    eng.dims(up_to)
+    return eng
+
+
+def _t_new_f7_quotient(up_to):
+    eng = QuotientEngine(_t_new_mod7())
+    eng.dims(up_to)
+    return eng
+
+
+def test_d3_char2_quotient_digest_is_pinned(blocks_in_parts):
+    blocks_in_parts(1)
+    eng = _d3_char2_quotient(21)
+    assert set(eng.parts.values()) == {1}
+    assert _quotient_digest(eng) == D3_CHAR2_QUOTIENT_PIN
     assert eng.retired == {1: 21, 2: 17, 3: 7, 4: 4, 5: 13}
 
 
-def test_t_new_quotient_over_f7_digest_is_pinned():
-    eng = QuotientEngine(_t_new_mod7())
-    eng.dims(25)
-    assert _quotient_digest(eng) == "ed999dd3122a6b0a233a7a725cfc8023984eb675e93fd05e7ef879979b77cce5"
+def test_t_new_quotient_over_f7_digest_is_pinned(blocks_in_parts):
+    blocks_in_parts(1)
+    eng = _t_new_f7_quotient(25)
+    assert set(eng.parts.values()) == {1}
+    assert _quotient_digest(eng) == T_NEW_F7_QUOTIENT_PIN
     assert eng.retired == {4: 25, 5: 25, 6: 19, 7: 11, 8: 7}
+
+
+@pytest.mark.parametrize("parts", [2, 3], ids=["2-part", "3-part"])
+def test_quotient_digests_are_pinned_in_forked_parts(parts, blocks_in_parts):
+    # the same pins and retirements when every degree's blocks run in 2 or 3
+    # processes
+    blocks_in_parts(parts)
+    eng = _d3_char2_quotient(21)
+    assert max(eng.parts.values()) == parts
+    assert _quotient_digest(eng) == D3_CHAR2_QUOTIENT_PIN
+    assert eng.retired == {1: 21, 2: 17, 3: 7, 4: 4, 5: 13}
+    eng = _t_new_f7_quotient(25)
+    assert max(eng.parts.values()) == parts
+    assert _quotient_digest(eng) == T_NEW_F7_QUOTIENT_PIN
+    assert eng.retired == {4: 25, 5: 25, 6: 19, 7: 11, 8: 7}
+
+
+@pytest.mark.parametrize("parts", [2, 3], ids=["2-part", "3-part"])
+def test_every_placement_has_the_grade_of_its_block_in_forked_parts(parts, blocks_in_parts):
+    blocks_in_parts(parts)
+    eng = _CheckBlockContract(_t_new_mod7())
+    eng.dims(12)
+    assert max(eng.parts.values()) == parts
+    assert eng.checked == _nonzero_placements(eng, 12) > 0
+
+
+def test_degree_times_and_parts_are_recorded():
+    eng = _t_new_f7_quotient(12)
+    assert sorted(eng.seconds) == sorted(eng.parts) == list(range(2, 13))
+    assert all(s > 0 for s in eng.seconds.values())
+    for n, parts in eng.parts.items():
+        # a degree forks only after a degree that took the threshold
+        assert parts == 1 or eng.seconds[n - 1] >= nichols._FORK_SECONDS
+        assert 1 <= parts <= min(len(os.sched_getaffinity(0)), 8)

@@ -1,4 +1,5 @@
 import json
+import os
 import pathlib
 import threading
 import time
@@ -151,6 +152,20 @@ def test_verify_paper_accepts_no_worker_count():
     for threads in (0, 2, 4):
         with pytest.raises(ValueError):
             verify.verify_paper("quick", threads=threads)
+
+
+def test_quick_profile_forks_no_process(monkeypatch):
+    # every engine degree in quick is far below the runner's fork threshold
+    forks = []
+    real = os.fork
+
+    def counting():
+        forks.append(1)
+        return real()
+
+    monkeypatch.setattr(os, "fork", counting)
+    assert verify.verify_paper("quick").ok()
+    assert forks == []
 
 
 def test_quick_profile_matches_the_pinned_reference():
