@@ -208,6 +208,9 @@ def cmd_nichols_cubic(args):
             for blk in ck.blocks
         ],
     }
+    if not rep.factorizations_complete:
+        # the list stopped at hilbert.MAX_SOLUTIONS; a whole list is unmarked
+        payload["factorizations_complete"] = False
     _emit(payload, args.format)
     return EXIT_OK
 

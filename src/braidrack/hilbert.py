@@ -10,7 +10,7 @@ from __future__ import annotations
 import itertools
 from collections import Counter
 
-# factorizations returns at most this many candidates
+# factorizations returns at most this many candidates, and says when it cut
 MAX_SOLUTIONS = 64
 
 
@@ -82,12 +82,13 @@ def factorizations(series, trunc):
 
     Factors are (n, 1) and (n, 2) with 2 <= n <= trunc, plus tail factors
     (None, 1) / (None, 2) standing for (infinity)_{t^r} or any (n)_{t^r}
-    too deep for the truncation to distinguish.  Returns a list of sorted
-    factor lists, at most ``MAX_SOLUTIONS`` of them; empty when none match.
+    too deep for the truncation to distinguish.  Returns (solutions,
+    complete): a list of sorted factor lists, at most ``MAX_SOLUTIONS`` of
+    them and empty when none match, and whether it holds every match.
     """
     exps = product_exponents(series, trunc)
     if exps is None:
-        return []
+        return [], True
     # Factor contributions to the (1 - t^k) exponents:
     #   (n)_t,   n <= trunc: +1 at k=n, -1 at k=1
     #   (n)_t2, 2n <= trunc: +1 at k=2n, -1 at k=2
@@ -98,7 +99,7 @@ def factorizations(series, trunc):
     # has exponent c_k at each k <= trunc (at k = 1 through that sum), and
     # these fix the series mod t^(trunc+1): each reproduces it unchecked.
     if any(c < 0 for k, c in exps.items() if k >= 3):
-        return []
+        return [], True
     evens = [k for k in sorted(exps) if k >= 4 and k % 2 == 0]
     tails = -sum(exps.values())
     choices = [range(exps[k] + 1) for k in evens] + [range(tails + 1)]
@@ -107,6 +108,8 @@ def factorizations(series, trunc):
         twos = exps.get(2, 0) + sum(halves) + tail2
         if twos < 0:
             continue
+        if len(solutions) == MAX_SOLUTIONS:
+            return solutions, False
         factors = [(2, 1)] * twos + [(None, 1)] * (tails - tail2) + [(None, 2)] * tail2
         half = dict(zip(evens, halves))
         for k, c in exps.items():
@@ -116,9 +119,7 @@ def factorizations(series, trunc):
             factors += [(k // 2, 2)] * c
         factors.sort(key=_factor_key)
         solutions.append(factors)
-        if len(solutions) == MAX_SOLUTIONS:
-            break
-    return solutions
+    return solutions, True
 
 
 def _factor_key(factor):

@@ -27,18 +27,19 @@ from .hurwitz import orbits as hurwitz_orbits
 from .linalg import Echelon, SparseMatrix, kernel_dim, rank
 from .percolate import orbit_plague
 
-DIRECT_WORD_CAP = 3 * 10**5
-
-# a degree's blocks are forked out only when the degree before took this long
-# (on a 2-core host, forking and merging a degree of tiny blocks took about
-# 3 ms); _PARTS, if set, replaces the one process per usable CPU.  Both are
+# a degree's blocks are forked out only when the degree before took this long.
+# Timed on the F_7 t-new inputs (perfbench modular_inputs(1)), 2-core host,
+# median of 5 runs in-process against 2 forked parts at every degree: a tiny
+# degree took 4-6 ms forked (the fork and merge cost), and forking won from
+# about 12 ms of in-process work.  Every degree that forks at 50 ms wins:
+# quotient degree 9 (after 46 ms) took 57 ms forked against 83 ms, degree 13
+# 162 against 273 ms.  Lower thresholds would also fork quotient degrees 7-9
+# and Nichols degrees 7-8, about 70 ms of 1.7 s, but the quick profile's
+# slowest deciding degree takes 13-16 ms, and quick must never fork.
+# _PARTS, if set, replaces the one process per usable CPU.  Both are
 # private: the tests set them to force either side, and nothing else should.
 _FORK_SECONDS = 0.05
 _PARTS = None
-
-
-class DegreeCap(Exception):
-    pass
 
 
 class NotHomogeneous(Exception):
@@ -191,24 +192,6 @@ class _Grading:
         for x in reversed(word):
             m = self.mul(self.mats[x], m)
         return m
-
-
-# ---------------------------------------------------------------------------
-# direct engine: rank of S_n blockwise over the Hurwitz orbits of X^n
-
-def graded_dim_direct(b, n):
-    """dim of the degree-n component as rank S_n, summed over orbit blocks."""
-    if n == 0:
-        return 1
-    if b.dim**n > DIRECT_WORD_CAP:
-        raise DegreeCap("d^n = %d exceeds the word cap" % b.dim**n)
-    f = b.field
-    total = 0
-    for o in hurwitz_orbits(b.rack, n):
-        # NotBlockDiagonal if S_n ever left the orbit block
-        m = operator_matrix(f, o.tuples, lambda w: symmetrizer_apply(b, n, {w: f.one}))
-        total += rank(f, m)
-    return total
 
 
 # ---------------------------------------------------------------------------
@@ -396,11 +379,9 @@ class NicholsEngine(GradedEngine):
         nb = len(self.basis[n - 1])
         # dm[x][i]: d_x of the block's basis word i
         new, forms, dm = [], [], [[] for _ in range(d)]
-        # a row holds at key top + i its coefficient on the derivation vector
-        # of the block's basis word i; every derivation key is below top, so
-        # these keys are never pivots and the row operations carry them along
-        top = d * nb
-        ech = Echelon(f)
+        # d_x of a word of grade g has grade M_x^-1 g, so a derivation key
+        # x * nb + i is itself a candidate of this block: the keys are cands
+        ech = Echelon(f, cands)
         for cand in cands:
             # the candidate's derivations (d_x)_x at keys x * nb + i; they read
             # only prev_d and nfmul[n-1], so each is built as it is reduced
@@ -412,9 +393,8 @@ class NicholsEngine(GradedEngine):
                     xnb = t[y][xp] * nb
                     ydv = self._lmul(y, dv, n - 1)
                     axpy(vec, {xnb + i: c for i, c in ydv.items()}, q[y][xp])
-            rest = dict(vec)
-            ech.reduce(rest)
-            if min(rest, default=top) < top:
+            form = ech.express(vec)
+            if form is None:
                 i = len(new)
                 new.append(cand)
                 for col in dm:
@@ -425,13 +405,9 @@ class NicholsEngine(GradedEngine):
                     if dx is None:
                         dm[x][i] = dx = {}
                     dx[i1] = c
-                # set after reduce; set before, it would precede the keys reduce
-                # adds, which reorders (but does not change) nfmul's dicts
-                rest[top + i] = one
-                ech.insert(rest)
             else:
-                # dependent: rest is minus its class in the chosen words
-                forms.append((cand, {k - top: f.neg(c) for k, c in rest.items()}))
+                # dependent: its class in the block's chosen words
+                forms.append((cand, form))
         return new, forms, dm
 
 
@@ -500,6 +476,8 @@ class ConditionsReport:
     dims: list
     cond1_truncated: bool
     factorizations: list
+    # False when hilbert.factorizations stopped at MAX_SOLUTIONS
+    factorizations_complete: bool
     cond2: bool
     cond3: bool
     cubic: CubicKernelReport
@@ -519,11 +497,12 @@ def check_conditions(b, hilbert_degree=4):
     ck = cubic_kernel(b)
     dv = b.dim
     cond2 = Fraction(dims[3]) <= dv * (Fraction(dims[2]) - Fraction(dv * dv - 1, 3))
-    facts = hilbert.factorizations(dims, hilbert_degree)
+    facts, complete = hilbert.factorizations(dims, hilbert_degree)
     return ConditionsReport(
         dims=dims,
         cond1_truncated=bool(facts),
         factorizations=facts,
+        factorizations_complete=complete,
         cond2=cond2,
         cond3=ck.has_many_cubic_relations(),
         cubic=ck,

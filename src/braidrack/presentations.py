@@ -128,16 +128,16 @@ class QuotientEngine(GradedEngine):
         the indices of the relations that made a row."""
         f = self.f
         nb = len(self.basis[n - 1])
-        ideal = Echelon(f)
+        ideal = Echelon(f, cands)
         made_rows = set()
         for i, bidx in placements.get(grade, ()):
             tail_deg = n - self.rel_degrees[i]
             if ideal.add(self._place_relation(self.p.relations[i], tail_deg, bidx, nb)):
                 made_rows.add(i)
-        new = [key for key in cands if key not in ideal.rows]
+        new = [key for key in cands if key not in ideal]
         index = {key: i for i, key in enumerate(new)}
         forms = [(key, {index[k]: f.neg(v) for k, v in row.items() if k != key})
-                 for key, row in ideal.rows.items()]
+                 for key, row in ideal.items()]
         return new, forms, made_rows
 
 

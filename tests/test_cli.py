@@ -4,7 +4,7 @@ import time
 
 import pytest
 
-from braidrack import percolate
+from braidrack import hilbert, percolate
 from braidrack.cli import main
 
 
@@ -228,6 +228,15 @@ def test_nichols_cubic(capsys):
     assert data["kernel_total"] == 9
     assert data["cond3"] is True
     assert any(b["optimal"] for b in data["blocks"])
+
+
+def test_nichols_cubic_reports_a_cut_factorization_list(capsys, monkeypatch):
+    argv = ("--format", "json", "nichols", "cubic", "T", "--max-degree", "4")
+    data = json.loads(run(capsys, *argv)[1])
+    assert len(data["factorizations"]) == 2 and "factorizations_complete" not in data
+    monkeypatch.setattr(hilbert, "MAX_SOLUTIONS", 1)
+    data = json.loads(run(capsys, *argv)[1])
+    assert len(data["factorizations"]) == 1 and data["factorizations_complete"] is False
 
 
 def test_nichols_quotient_preset_relations(capsys):

@@ -77,31 +77,32 @@ def test_product_exponents_roundtrip():
 
 def test_factorizations_find_the_truth():
     series = expand_product([(2, 1), (2, 1), (3, 1)], 4)
-    sols = factorizations(series, 4)
+    sols, complete = factorizations(series, 4)
+    assert complete
     assert [(2, 1), (2, 1), (3, 1)] in sols
     for sol in sols:
         assert expand_product(sol, 4) == series
 
 
 def test_factorizations_reject_non_products():
-    assert factorizations([1, 3, 2], 2) == []
-    assert factorizations([1, 4, 3], 2) == []
-    assert factorizations([1, 3, 4, 2], 3) == []
-    assert factorizations([1, 2, 2, 4], 3) == []
+    assert factorizations([1, 3, 2], 2) == ([], True)
+    assert factorizations([1, 4, 3], 2) == ([], True)
+    assert factorizations([1, 3, 4, 2], 3) == ([], True)
+    assert factorizations([1, 2, 2, 4], 3) == ([], True)
 
 
 def test_factorizations_accept_truncation_ambiguity():
     # 1 + 3t + 3t^2 is (2)_t^3 cut at degree 2
-    assert [(2, 1)] * 3 in factorizations([1, 3, 3], 2)
+    assert [(2, 1)] * 3 in factorizations([1, 3, 3], 2)[0]
     # all-ones tails are explained by infinite factors
-    sols = factorizations([1, 2, 4], 2)
+    sols, _ = factorizations([1, 2, 4], 2)
     assert sols and all(s.count((None, 2)) or s.count((None, 1)) for s in sols)
 
 
 def test_factorizations_with_infinite_tail():
     # (inf)_t = 1/(1-t): series all ones
     series = [1, 1, 1, 1, 1]
-    sols = factorizations(series, 4)
+    sols, _ = factorizations(series, 4)
     assert [(None, 1)] in sols
     # (2)_t (inf)_{t^2}: 1, 1, 1, 1, ... could also be explained differently;
     # every found solution must reproduce the series
@@ -112,15 +113,21 @@ def test_factorizations_with_infinite_tail():
 def test_factorizations_are_pinned():
     # the paper's series at truncations 4, 6 and top degree + 1, one series
     # with exactly MAX_SOLUTIONS factorizations and one with 80, cut to the
-    # first MAX_SOLUTIONS; the digest is over the ordered lists
-    data = []
+    # first MAX_SOLUTIONS, which alone is reported incomplete; the digest is
+    # over the ordered lists
+    data, complete = [], []
     for name, factors in SERIES.items():
         top = sum((n - 1) * r for n, r in factors)
         for trunc in (4, 6, top + 1):
-            data.append((name, trunc, factorizations(expand_product(factors, trunc), trunc)))
+            sols, done = factorizations(expand_product(factors, trunc), trunc)
+            data.append((name, trunc, sols))
+            complete.append(done)
     for fours in (3, 4):
         series = expand_product([(4, 1)] * fours + [(6, 1)] * 3 + [(8, 1)] * 3, 8)
-        data.append(("capped", fours, factorizations(series, 8)))
+        sols, done = factorizations(series, 8)
+        data.append(("capped", fours, sols))
+        complete.append(done)
+    assert complete == [True] * (len(data) - 1) + [False]
     assert [len(sols) for _, _, sols in data] == [
         1, 1, 1, 5, 7, 7, 1, 1, 1, 2, 2, 2, 12, 12, 12, 3, 3, 3, 35, 25, 25,
         MAX_SOLUTIONS, MAX_SOLUTIONS]
@@ -140,12 +147,14 @@ def _product(draw):
 @given(_product())
 def test_factorizations_find_every_generating_product(case):
     factors, trunc = case
-    sols = factorizations(expand_product(factors, trunc), trunc)
+    sols, complete = factorizations(expand_product(factors, trunc), trunc)
     # a factor whose first missing term lies beyond the truncation reads as
     # its tail
     want = [(None, r) if n is not None and n * r > trunc else (n, r) for n, r in factors]
     want.sort(key=lambda f: (f[1], f[0] is None, f[0] or 0))
-    if len(sols) < MAX_SOLUTIONS:
+    # only a full list may be cut
+    assert complete or len(sols) == MAX_SOLUTIONS
+    if complete:
         assert want in sols
 
 
@@ -177,7 +186,7 @@ def test_non_product_series_is_fast():
     sols = factorizations(series, 12)
     exps = product_exponents(series, 12)
     assert time.perf_counter() - start < 0.1
-    assert sols == []
+    assert sols == ([], True)
     assert exps == {
         1: -5, 2: 14, 3: -35, 4: 126, 5: -504, 6: 2029, 7: -8280, 8: 34649,
         9: -147835, 10: 637785, 11: -2776916, 12: 12195155,
@@ -198,7 +207,7 @@ def _series(draw):
 @given(_series())
 def test_every_factorization_expands_to_the_series(case):
     series, trunc = case
-    for sol in factorizations(series, trunc):
+    for sol in factorizations(series, trunc)[0]:
         assert expand_product(sol, trunc) == series
 
 

@@ -5,8 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from braidrack.fields import QQ, NotAField, parse_field
+from braidrack import linalg
+from braidrack.fields import GF, QQ, NotAField, parse_field
 from braidrack.linalg import (
+    Echelon,
     SparseMatrix,
     kernel_basis,
     kernel_dim,
@@ -217,3 +219,97 @@ def test_row_reduce_is_reduced_echelon_form_of_rank_rows(rows):
         row = reduced[i]
         assert min(row) == c and row[c] == f.one
         assert all(c2 not in row for c2 in cols if c2 != c)
+
+
+def _dense_rref_mod_p(rows, ncols, p):
+    """Gauss-Jordan elimination of dense integer rows mod p: the pivot
+    columns and the reduced nonzero rows, each 1 at its pivot."""
+    m = [[v % p for v in row] for row in rows]
+    pivots = []
+    for c in range(ncols):
+        r = len(pivots)
+        piv = next((i for i in range(r, len(m)) if m[i][c]), None)
+        if piv is None:
+            continue
+        m[r], m[piv] = m[piv], m[r]
+        inv = pow(m[r][c], p - 2, p)
+        m[r] = [v * inv % p for v in m[r]]
+        for i in range(len(m)):
+            if i != r and m[i][c]:
+                f = m[i][c]
+                m[i] = [(a - f * b) % p for a, b in zip(m[i], m[r])]
+        pivots.append(c)
+    return pivots, m[: len(pivots)]
+
+
+# 13 is the largest prime with packed rows, 17 the first with dict rows
+_PRIMES = [2, 3, 7, 13, 17]
+
+
+@st.composite
+def _low_rank_mod_p(draw):
+    """(p, rows): a product of a random n x k and k x c matrix mod p, wide
+    and deep enough that a reduction subtracts more rows than one fold of
+    a packed row allows for p = 7."""
+    p = draw(st.sampled_from(_PRIMES))
+    n, k, c = draw(st.integers(1, 12)), draw(st.integers(1, 9)), draw(st.integers(1, 12))
+    entry = st.integers(0, p - 1)
+    a = draw(st.lists(st.lists(entry, min_size=k, max_size=k), min_size=n, max_size=n))
+    b = draw(st.lists(st.lists(entry, min_size=c, max_size=c), min_size=k, max_size=k))
+    return p, [[v % p for v in row] for row in _product(lambda x, y: x * y, lambda x, y: x + y, a, b)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(_low_rank_mod_p())
+def test_prime_field_elimination_matches_dense_mod_p(case):
+    p, rows = case
+    f, ncols = GF(p), len(rows[0])
+    m = SparseMatrix.from_dense(f, rows)
+    pivots, ref = _dense_rref_mod_p(rows, ncols, p)
+    assert rank(f, m) == len(pivots)
+    # the kernel vector of free column j is e_j - sum_r ref[r][j] e_pivot(r)
+    kernel = [
+        {j: 1, **{c: -r[j] % p for c, r in zip(pivots, ref) if r[j]}}
+        for j in range(ncols) if j not in pivots
+    ]
+    assert kernel_basis(f, m) == kernel
+    # the Echelon on a key universe (packed rows for p <= 13), on keys
+    # spread out as a grade block's are: column j is key 5 j + 2
+    ech = Echelon(f, [5 * j + 2 for j in reversed(range(ncols))])
+    for row in m.rows:
+        ech.add({5 * j + 2: v for j, v in row.items()})
+    assert dict(ech.items()) == {
+        5 * c + 2: {5 * j + 2: v for j, v in enumerate(r) if v} for c, r in zip(pivots, ref)
+    }
+    assert (p in linalg._MOD) == (p <= linalg.PACKED_PRIME_MAX)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_low_rank_mod_p())
+def test_express_gives_coordinates_in_the_kept_vectors(case):
+    p, rows = case
+    f, ncols = GF(p), len(rows[0])
+    ech = Echelon(f, range(ncols))
+    kept = []
+    for i, row in enumerate(rows):
+        vec = {j: v for j, v in enumerate(row) if v}
+        coords = ech.express(vec)
+        if coords is None:
+            # kept exactly when it raises the rank of the rows so far
+            assert len(_dense_rref_mod_p(rows[: i + 1], ncols, p)[0]) == len(kept) + 1
+            kept.append(row)
+        else:
+            assert all(0 < c < p for c in coords.values())
+            combo = [sum(coords.get(t, 0) * kv[j] for t, kv in enumerate(kept)) % p
+                     for j in range(ncols)]
+            assert combo == row
+    assert len(ech) == len(kept)
+
+
+@pytest.mark.parametrize("p", [7, 17], ids=["packed", "dict"])
+def test_express_refuses_a_key_outside_the_keys(p):
+    # past the keys sit the coefficients on the kept vectors
+    ech = Echelon(GF(p), range(3))
+    assert ech.express({0: 1, 2: 3}) is None
+    with pytest.raises(KeyError):
+        ech.express({1: 1, 3: 1})

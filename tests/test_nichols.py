@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from braidrack import percolate
+from braidrack import hilbert, linalg, percolate
 from braidrack.braiding import (
     BraidedSpace,
     coboundary_twist,
@@ -20,7 +20,7 @@ from braidrack.braiding import (
     constant_cocycle,
     transposition_model,
 )
-from braidrack.fields import QQ, parse_field
+from braidrack.fields import GF, QQ, parse_field
 from braidrack.hilbert import expand_product
 from braidrack.hurwitz import orbits as hurwitz_orbits
 from braidrack.linalg import kernel_dim
@@ -34,7 +34,6 @@ from braidrack.nichols import (
     cubic_kernel,
     derive,
     general_inequality_lhs,
-    graded_dim_direct,
     graded_dims,
     k3_bound,
     kernel_identity_terms,
@@ -46,6 +45,7 @@ from braidrack.nichols import (
 )
 from braidrack.parallel import BlockProcessError, runs
 from braidrack.racks import preset, trivial_rack
+from direct_engine import graded_dim_direct
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 
@@ -72,6 +72,12 @@ def test_d3_minus1_dims():
     assert graded_dims(b, 5) == [1, 3, 4, 3, 1, 0]
     assert graded_dim_direct(b, 2) == 4
     assert graded_dim_direct(b, 3) == 3
+
+
+@pytest.mark.parametrize("p", [13, 17], ids=["packed-Fp(13)", "dict-Fp(17)"])
+def test_d3_minus1_dims_over_the_largest_packed_and_first_dict_prime(p):
+    assert graded_dims(minus1("D3", GF(p)), 5) == [1, 3, 4, 3, 1, 0]
+    assert (p in linalg._MOD) == (p <= linalg.PACKED_PRIME_MAX)
 
 
 def test_direct_and_differential_engines_agree():
@@ -208,6 +214,19 @@ def test_import_leaves_the_process_runner_and_pickle_unloaded():
     assert out.stdout.strip() == "[]"
 
 
+def test_import_and_the_quick_profile_build_no_packed_rows():
+    # quick runs over QQ, and its prime-field kernels are small matrices
+    # with dict rows: no mod-p table is built, so no echelon packs a row
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    code = ("import braidrack; from braidrack import linalg; print(sorted(linalg._MOD)); "
+            "assert braidrack.verify_paper('quick').ok(); print(sorted(linalg._MOD))")
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, check=True,
+    )
+    assert out.stdout.split() == ["[]", "[]"]
+
+
 def test_nichols_engine_keeps_the_top_degree_derivations_only():
     space = workloads.modular_inputs(1).space
     eng = NicholsEngine(space)
@@ -303,6 +322,16 @@ def test_check_conditions_d3():
     assert rep.cond1_truncated and rep.cond2 and rep.cond3
     assert rep.cubic == cubic_kernel(minus1("D3"))
     assert rep.cubic.total == 9 and rep.cubic.many_cubic_threshold() == 8
+
+
+def test_check_conditions_reports_a_cut_factorization_list(monkeypatch):
+    # T-minus1's series to degree 4 has two factorizations
+    rep = check_conditions(minus1("T"), 4)
+    assert len(rep.factorizations) == 2 and rep.factorizations_complete
+    monkeypatch.setattr(hilbert, "MAX_SOLUTIONS", 1)
+    rep = check_conditions(minus1("T"), 4)
+    assert len(rep.factorizations) == 1 and not rep.factorizations_complete
+    assert rep.cond1_truncated
 
 
 def test_check_conditions_fails_for_bad_q():
