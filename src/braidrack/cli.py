@@ -18,7 +18,7 @@ from . import classify, hilbert, nichols, percolate, presentations, verify
 from .braiding import BraidedSpace, cocycle_preset, constant_cocycle, table_cocycle
 from .fields import QQ, parse_field
 from .hurwitz import census, orbit
-from .racks import Rack, inner_group_order, invariants, is_isomorphic, preset, preset_names
+from .racks import Rack, identify, inner_group_order, invariants, is_isomorphic, preset, preset_names
 
 EXIT_OK = 0
 EXIT_MISMATCH = 1
@@ -263,18 +263,13 @@ def cmd_classify(args):
     payload = []
     for r in res:
         inv = invariants(r)
-        known = None
-        for nm in preset_names():
-            if is_isomorphic(r, preset(nm)):
-                known = nm
-                break
         payload.append(
             {
                 "size": r.size,
                 "degree": inv.degree,
                 "k3": inv.k3,
                 "m": inv.m,
-                "isomorphic_to": known,
+                "isomorphic_to": identify(r, preset_names()),
                 "table": [[v + 1 for v in row] for row in r.table],
             }
         )

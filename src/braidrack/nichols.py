@@ -220,7 +220,7 @@ class GradedEngine:
     what else the subclass keeps; ``_merge_block`` appends them to degree n.
     NicholsEngine's vectors are the candidates' derivations; QuotientEngine's
     are the placements r * b, whose grade grade(r) * grade(b) is known
-    before they are placed.
+    before they are placed.  Both build every vector through ``_lift``.
 
     A block reads only lower degrees and ctx, never another block's output,
     so the blocks of a degree may run in separate processes
@@ -318,20 +318,32 @@ class GradedEngine:
         self.nfmul[n][key] = {i: self.f.one}
         return i
 
-    def _lmul(self, y, coords, n):
-        """y times a vector in basis[n-1] coordinates, in basis[n] coordinates."""
-        out = {}
-        nf, ynb = self.nfmul[n], y * len(self.basis[n - 1])
-        axpy = self.f.axpy
-        for j, c in coords.items():
-            axpy(out, nf[ynb + j], c)
-        return out
-
     def _word_times(self, word, coords, n):
         """word times a vector in basis[n] coordinates, expanded in the basis."""
-        for k, y in enumerate(reversed(word), n + 1):
-            coords = self._lmul(y, coords, k)
+        axpy, nfmul, basis = self.f.axpy, self.nfmul, self.basis
+        for y in reversed(word):
+            out = {}
+            ynb = y * len(basis[n])
+            n += 1
+            nf = nfmul[n]
+            for j, c in coords.items():
+                axpy(out, nf[ynb + j], c)
+            coords = out
         return coords
+
+    def _lift(self, out, terms, n):
+        """Add each term's c * x * (word * coords) to out at degree-n keys; out.
+
+        A term (x, word, coords, c) has coords in basis[n-1-len(word)]
+        coordinates.  word * coords is expanded in basis[n-1], and x in front
+        of its basis word j is the candidate key x * nb + j.
+        """
+        nb, axpy, word_times = len(self.basis[n - 1]), self.f.axpy, self._word_times
+        for x, word, coords, c in terms:
+            xnb = x * nb
+            tail = word_times(word, coords, n - 1 - len(word))
+            axpy(out, {xnb + j: cj for j, cj in tail.items()}, c)
+        return out
 
     def nf_vector(self, vec, n):
         """Class of a free degree-n vector in basis[n] coordinates."""
@@ -349,62 +361,49 @@ class NicholsEngine(GradedEngine):
     """Graded data of the braided space's quotient by the symmetrizer kernels.
 
     Besides the basis and nfmul of :class:`GradedEngine` it keeps, for its
-    top degree n only, dmat[x][i]: d_x of basis[n][i] expanded in
-    basis[n-1] (None when it is zero: most are, and an empty dict per pair
-    costs memory).  A candidate is eliminated when its derivations depend
-    on those of the candidates before it in its block: u lies in ker S_n
-    exactly when every d_x(u) lies in ker S_{n-1}.
+    top degree n only, dmat[i] = {x: d_x(basis[n][i])}, each derivation
+    expanded in basis[n-1] and only the nonzero ones kept.  A candidate is
+    eliminated when its derivations depend on those of the candidates before
+    it in its block: u lies in ker S_n exactly when every d_x(u) lies in
+    ker S_{n-1}.
     """
 
     def __init__(self, b):
         super().__init__(b)
-        self.dmat = [[{0: self.f.one} if w[0] == x else None for w in self.basis[1]]
-                     for x in range(b.dim)]
+        # d_x(y) is 1 when x = y and 0 otherwise
+        self.dmat = [{x: {0: self.f.one}} for x in range(b.dim)]
 
     def _build_degree(self, n):
-        prev_d, self.dmat = self.dmat, [[] for _ in range(self.b.dim)]
-        self._run_blocks(n, self._grade_blocks(n), prev_d)
-
-    def _merge_block(self, n, grade, out):
-        """Merge a block and append its derivation columns to dmat at once,
-        so no block's column lists outlive its merge."""
-        for col, part in zip(self.dmat, super()._merge_block(n, grade, out)):
-            col.extend(part)
+        # each block returns its words' derivations, in discovery order
+        parts = self._run_blocks(n, self._grade_blocks(n), self.dmat)
+        self.dmat = [dx for part in parts for dx in part]
 
     def _reduce_block(self, n, grade, cands, prev_d):
-        """Eliminate the block's derivations; its words, forms and dmat columns."""
+        """Eliminate the block's derivations; its words, forms and dmat rows."""
         f = self.f
-        axpy, one = f.axpy, f.one
-        d, q, t = self.b.dim, self.b.cocycle.q, self.b.rack.table
+        one = f.one
+        q, t = self.b.cocycle.q, self.b.rack.table
         nb = len(self.basis[n - 1])
-        # dm[x][i]: d_x of the block's basis word i
-        new, forms, dm = [], [], [[] for _ in range(d)]
+        new, forms, dm = [], [], []
         # d_x of a word of grade g has grade M_x^-1 g, so a derivation key
         # x * nb + i is itself a candidate of this block: the keys are cands
         ech = Echelon(f, cands)
         for cand in cands:
-            # the candidate's derivations (d_x)_x at keys x * nb + i; they read
-            # only prev_d and nfmul[n-1], so each is built as it is reduced
+            # d_x(y w) = delta_{x,y} w + q[y][z] y d_z(w) with y |> z = x,
+            # keyed x * nb + i; it reads only prev_d and nfmul[n-1], so each
+            # candidate's vector is built as it is reduced
             y, j = divmod(cand, nb)
-            vec = {cand: one}  # delta term of d_y
-            for xp in range(d):
-                dv = prev_d[xp][j]
-                if dv:
-                    xnb = t[y][xp] * nb
-                    ydv = self._lmul(y, dv, n - 1)
-                    axpy(vec, {xnb + i: c for i, c in ydv.items()}, q[y][xp])
+            qy, ty = q[y], t[y]
+            vec = self._lift({cand: one}, [(ty[z], (y,), dz, qy[z]) for z, dz in prev_d[j].items()], n)
             form = ech.express(vec)
             if form is None:
-                i = len(new)
                 new.append(cand)
-                for col in dm:
-                    col.append(None)
+                # the kept word's derivations, split by letter
+                dx = {}
                 for key, c in vec.items():
-                    x, i1 = divmod(key, nb)
-                    dx = dm[x][i]
-                    if dx is None:
-                        dm[x][i] = dx = {}
-                    dx[i1] = c
+                    x, i = divmod(key, nb)
+                    dx.setdefault(x, {})[i] = c
+                dm.append(dx)
             else:
                 # dependent: its class in the block's chosen words
                 forms.append((cand, form))

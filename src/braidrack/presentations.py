@@ -113,26 +113,17 @@ class QuotientEngine(GradedEngine):
             for i in sorted(idle):
                 self.retired[i] = n
 
-    def _place_relation(self, r, tail_deg, bidx, nb):
-        """pi(r * basis[tail_deg][bidx]) in candidate coordinates of degree n."""
-        out = {}
-        axpy, one = self.f.axpy, self.f.one
-        for w, c in r.items():
-            # w[1:] * b expanded in basis[n-1], then w[0] as the first letter
-            tail = self._word_times(w[1:], {bidx: one}, tail_deg)
-            axpy(out, {w[0] * nb + j: cj for j, cj in tail.items()}, c)
-        return out
-
     def _reduce_block(self, n, grade, cands, placements):
         """Place and eliminate the block's relations; its words, forms and
         the indices of the relations that made a row."""
         f = self.f
-        nb = len(self.basis[n - 1])
         ideal = Echelon(f, cands)
         made_rows = set()
         for i, bidx in placements.get(grade, ()):
-            tail_deg = n - self.rel_degrees[i]
-            if ideal.add(self._place_relation(self.p.relations[i], tail_deg, bidx, nb)):
+            # r * b: each term c w of r is w[0] * (w[1:] * b)
+            tail = {bidx: f.one}
+            vec = self._lift({}, [(w[0], w[1:], tail, c) for w, c in self.p.relations[i].items()], n)
+            if ideal.add(vec):
                 made_rows.add(i)
         new = [key for key in cands if key not in ideal]
         index = {key: i for i, key in enumerate(new)}

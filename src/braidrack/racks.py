@@ -94,6 +94,8 @@ class Rack:
 
 def _validate(table):
     d = len(table)
+    if not d:
+        raise RackError("a rack needs at least one element")
     full = frozenset(range(d))
     for i, row in enumerate(table):
         if len(row) != d or set(row) != full:
@@ -426,6 +428,11 @@ def _element_profile(r):
         fixed_by = sum(1 for y in range(r.size) if r.table[y][x] == x)
         prof.append((row_type, fixes, fixed_by, r.table[x][x] == x))
     return prof
+
+
+def identify(r, names):
+    """The first preset in ``names`` isomorphic to r, or None."""
+    return next((nm for nm in names if is_isomorphic(r, preset(nm))), None)
 
 
 def is_isomorphic(r1, r2, witness=False):

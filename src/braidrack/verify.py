@@ -28,7 +28,7 @@ from .braiding import (
 from .fields import QQ, parse_field
 from .hurwitz import REFERENCE_SIZES, census, orbits, reference_orbit
 from .linalg import kernel_basis, kernel_dim
-from .racks import is_isomorphic, preset, trivial_rack
+from .racks import identify, preset, trivial_rack
 from . import perms
 
 
@@ -304,19 +304,11 @@ def check_classification(report):
     ]
     for label, degs, k3m, expected in jobs:
         res = classify.search(classify.SearchSpec(degrees=degs, k3_max=k3m))
-        names = _identify(res, expected)
+        names = [identify(r, expected) or "unknown-size-%d" % r.size for r in res]
         report.add("P9-classify", label, "reference-table", sorted(expected), sorted(names))
     res8 = classify.search(classify.SearchSpec(degrees=(2,), k3_max=8))
-    found = any(is_isomorphic(r, preset("Aff(9,2)")) for r in res8)
+    found = any(identify(r, ["Aff(9,2)"]) for r in res8)
     report.add("P9-classify", "deg2-k3<=8-finds-Aff(9,2)", "reference-table", True, found)
-
-
-def _identify(res, expected):
-    names = []
-    for r in res:
-        hit = [nm for nm in expected if is_isomorphic(r, preset(nm))]
-        names.append(hit[0] if hit else "unknown-size-%d" % r.size)
-    return names
 
 
 # ---------------------------------------------------------------------------

@@ -44,6 +44,17 @@ def test_rack_info_from_file(tmp_path, capsys):
     assert json.loads(out)["degree"] == 2
 
 
+@pytest.mark.parametrize("command", [["rack", "info"], ["immunity"]], ids=["rack-info", "immunity"])
+def test_empty_rack_file_is_an_error(tmp_path, capsys, command):
+    # both commands crashed inside the rack code on an empty table
+    f = tmp_path / "empty.json"
+    f.write_text('{"size": 0, "table": []}')
+    code = main(command + [str(f)])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == "error: a rack needs at least one element\n"
+
+
 def test_census_formats(capsys):
     code, out = run(capsys, "--format", "json", "hurwitz", "census", "D3")
     assert code == 0
@@ -352,12 +363,12 @@ def test_classify_with_no_rack_json(capsys):
 
 def test_classify_isomorphism_fault_is_an_error(capsys, monkeypatch):
     # a fault in the preset lookup must not read as "isomorphic to nothing"
-    from braidrack import cli
+    from braidrack import racks
 
     def broken(r1, r2, witness=False):
         raise RuntimeError("broken isomorphism test")
 
-    monkeypatch.setattr(cli, "is_isomorphic", broken)
+    monkeypatch.setattr(racks, "is_isomorphic", broken)
     code = main(["--format", "json", "classify", "--degree", "3", "--k3-max", "6",
                  "--size-max", "9"])
     captured = capsys.readouterr()

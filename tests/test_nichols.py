@@ -231,13 +231,36 @@ def test_nichols_engine_keeps_the_top_degree_derivations_only():
     space = workloads.modular_inputs(1).space
     eng = NicholsEngine(space)
     eng.dims(10)
-    # one table dmat[x][i] for the basis words of degree 10
-    assert len(eng.dmat) == space.dim
-    assert all(len(col) == len(eng.basis[10]) for col in eng.dmat)
+    # one dict dmat[i] = {x: d_x(basis[10][i])} per basis word of degree 10,
+    # each derivation nonzero and in basis[9] coordinates
+    assert len(eng.dmat) == len(eng.basis[10])
+    nb = len(eng.basis[9])
+    for dx in eng.dmat:
+        assert dx and all(0 <= x < space.dim and v for x, v in dx.items())
+        assert all(0 <= i < nb for v in dx.values() for i in v)
     eng.extend(11)
     fresh = NicholsEngine(space)
     assert [len(eng.basis[n]) for n in range(12)] == fresh.dims(11)
     assert eng.basis[11] == fresh.basis[11] and eng.nfmul[11] == fresh.nfmul[11]
+
+
+@pytest.mark.parametrize("space, up_to", [
+    pytest.param(lambda: minus1("T"), 5, id="T-minus1"),
+    pytest.param(lambda: workloads.modular_inputs(1).space, 6, id="F7-t-new"),
+])
+def test_stored_derivations_are_the_free_word_derivations(space, up_to):
+    # dmat[i][x] is d_x(basis[n][i]) in basis[n-1] coordinates, and an absent
+    # x is a zero derivation: the free-word operator, reduced to its normal
+    # form, gives the same vector at every degree
+    b = space()
+    one = b.field.one
+    eng = NicholsEngine(b)
+    for n in range(1, up_to + 1):
+        eng.extend(n)
+        assert len(eng.dmat) == len(eng.basis[n])
+        for i, w in enumerate(eng.basis[n]):
+            for x in range(b.dim):
+                assert eng.dmat[i].get(x, {}) == eng.nf_vector(derive(b, x, {w: one}), n - 1)
 
 
 @pytest.mark.parametrize("space", [

@@ -152,6 +152,29 @@ def test_quotient_normal_form_kills_every_relation(name):
         assert eng.nf_vector(r, len(next(iter(r)))) == {}
 
 
+@pytest.mark.parametrize("name, products", [("d3char2", 794), ("t-new-mod7", 3529)])
+def test_quotient_normal_form_kills_every_two_sided_multiple(name, products):
+    # u * r * v lies in the ideal for all basis words u, v; every such
+    # product of degree <= 6 has normal form 0
+    if name == "d3char2":
+        space, rels, _, _ = integral_preset(name)
+        p = Presentation(space, rels)
+    else:
+        p = _t_new_mod7()
+    eng = QuotientEngine(p)
+    eng.extend(6)
+    count = 0
+    for r, deg in zip(p.relations, eng.rel_degrees):
+        for du in range(7 - deg):
+            for dv in range(7 - deg - du):
+                for u in eng.basis[du]:
+                    for v in eng.basis[dv]:
+                        vec = {u + w + v: c for w, c in r.items()}
+                        assert eng.nf_vector(vec, du + deg + dv) == {}
+                        count += 1
+    assert count == products
+
+
 @pytest.mark.parametrize("name", ["d3char2", "t-new"])
 def test_basis_words_are_their_own_normal_forms(name):
     space, rels, _, _ = integral_preset(name)
@@ -259,9 +282,9 @@ def test_redundant_relations_are_retired():
 class _CheckBlockContract(_PlaceEveryRelation):
     """Checks the grade of every placement handed to a grade block.
 
-    A nonzero placement r * b handed to the block of grade g must have its
-    first candidate key in that block, and g = grade(r) * grade(b).  A block
-    may run in a forked process, so it returns its count of checked
+    A nonzero placement r * b handed to the block of grade g must have
+    every key among that block's candidates, and g = grade(r) * grade(b).
+    A block may run in a forked process, so it returns its count of checked
     placements beside its extra, and the merge adds it up.
     """
 
@@ -274,10 +297,10 @@ class _CheckBlockContract(_PlaceEveryRelation):
         for i, bidx in placements.get(grade, ()):
             r = self.p.relations[i]
             tail_deg = n - self.rel_degrees[i]
-            vec = self._place_relation(r, tail_deg, bidx, nb)
+            vec = _placement(self, r, bidx, n)
             if vec:
+                assert set(vec) <= set(cands)
                 key = next(iter(vec))
-                assert key in cands
                 y, j = divmod(key, nb)
                 assert mul(mats[y], self.grades[n - 1][j]) == grade
                 assert mul(self.grading.of_word(next(iter(r))), self.grades[tail_deg][bidx]) == grade
@@ -291,15 +314,20 @@ class _CheckBlockContract(_PlaceEveryRelation):
         return made_rows
 
 
+def _placement(eng, r, bidx, n):
+    """r * basis[n - deg r][bidx] in degree-n candidate keys, through the lift."""
+    tail = {bidx: eng.f.one}
+    return eng._lift({}, [(w[0], w[1:], tail, c) for w, c in r.items()], n)
+
+
 def _nonzero_placements(eng, up_to):
     """The number of nonzero placements r * b of degree 2..up_to."""
     count = 0
     for n in range(2, up_to + 1):
-        nb = len(eng.basis[n - 1])
         for r, deg in zip(eng.p.relations, eng.rel_degrees):
-            if deg <= n and nb:
+            if deg <= n and eng.basis[n - 1]:
                 for bidx in range(len(eng.basis[n - deg])):
-                    count += bool(eng._place_relation(r, n - deg, bidx, nb))
+                    count += bool(_placement(eng, r, bidx, n))
     return count
 
 

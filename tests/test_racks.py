@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from braidrack import perms
 from braidrack.racks import (
     Rack,
+    RackError,
     RowNotPermutation,
     SelfDistributivityFails,
     UnknownPreset,
@@ -17,6 +18,7 @@ from braidrack.racks import (
     braided_affine_param,
     components,
     conjugation_rack,
+    identify,
     inner_group_order,
     invariants,
     is_braided,
@@ -53,6 +55,22 @@ def test_self_distributivity_fails():
     table = [[0, 2, 1], [2, 1, 0], [0, 1, 2]]
     with pytest.raises(SelfDistributivityFails):
         Rack(table)
+
+
+def test_a_rack_needs_an_element():
+    with pytest.raises(RackError, match="a rack needs at least one element"):
+        Rack([])
+    with pytest.raises(RackError, match="a rack needs at least one element"):
+        Rack.from_json('{"size": 0, "table": []}')
+
+
+def test_identify_names_the_first_isomorphic_preset():
+    r = Rack([[0, 3, 1, 2], [2, 1, 3, 0], [3, 0, 2, 1], [1, 2, 0, 3]])  # T, 0 and 1 swapped
+    assert r != preset("T")
+    assert identify(r, ["D3", "T", "B"]) == "T"
+    assert identify(r, ["D3", "B"]) is None
+    assert identify(r, []) is None
+    assert identify(preset("Aff(7,5)"), ["Aff(7,3)", "Aff(7,5)"]) == "Aff(7,5)"
 
 
 def test_unknown_preset():
