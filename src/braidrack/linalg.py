@@ -3,32 +3,66 @@
 Matrices are row-sparse: a list of dicts column -> scalar, with no explicit
 zeros.  There is one elimination, :class:`Echelon`: Gaussian elimination
 over the field into fully reduced rows.  Both graded engines, kernels and
-every rank use it, and hand it dict vectors and read dict rows whatever
-the field.
+every rank use it.
 
-The field chooses how an echelon stores its rows, once a caller names the
-echelon's key universe; each graded engine names its grade block's keys.
-Over ``PrimeField(p)`` with p <= 13 a row is one int with a byte per key of
-the universe, the least key in the lowest byte, and an axpy is one big-int
-multiply-add: a byte then holds at most (p-1) + (p-1)^2 <= 255, so no byte
-carries into the next, and ``(255 - (p-1)) // (p-1)^2`` axpys fit before
-one ``bytes.translate`` reduces every byte mod p.  That is delayed modular
-reduction over word-packed vectors, as in FFLAS-FFPACK (Dumas, Giorgi and
-Pernet, ACM TOMS 35(3), 2008).  Every other field keeps dict rows and its
-own ``Field.axpy``, and so does an echelon with no key universe: the small
-matrices of ``rank`` and ``kernel_basis``.  Both stores pivot on a row's
-least key, so they give the same rows.
+The field picks one store for every vector of a graded engine: its normal
+forms, its Nichols derivations, its grade blocks' candidate vectors and the
+echelon rows they reduce to.  Over ``PrimeField(p)`` with p <= 13 a vector
+is one int with a byte per coordinate, the first in the lowest byte, and an
+axpy is one big-int multiply-add: a byte then holds at most
+(p-1) + (p-1)^2 <= 255, so no byte carries into the next, and
+``(255 - (p-1)) // (p-1)^2`` axpys fit before one ``bytes.translate``
+reduces every byte mod p (``_fold``).  That is delayed modular reduction
+over word-packed vectors, as in FFLAS-FFPACK (Dumas, Giorgi and Pernet, ACM
+TOMS 35(3), 2008).  Every other field keeps sparse dicts and its own
+``Field.axpy``.  :func:`vectors` gives an engine its store, and an
+:class:`Echelon` handed its key universe packs by the same rule; one with
+no key universe (the small matrices of ``rank`` and ``kernel_basis``) keeps
+dict rows.  Both pivot on a row's least key, so they give the same rows.
+
+A packed vector's bytes stand for the basis indices of a *span*, one grade
+block's basis words of one degree, so an engine's vector is a pair
+(span, int).  A normal form nfmul[n][key] is the int alone: its span is
+spans[n][key], which the engine keeps.  An echelon row's bytes follow its
+sorted keys; a block's keys x * nb + j of one letter x are the j of one
+grade block of degree n-1, so a vector over that span enters a row with one
+shift, and a row leaves it by one shift and mask (``Echelon.split``).
 """
 from __future__ import annotations
 
 from itertools import compress
+from operator import itemgetter
 
 from .fields import PrimeField
 
-# a byte of a packed row holds (p-1) + (p-1)^2 after one axpy
+# a byte of a packed vector holds (p-1) + (p-1)^2 after one axpy
 PACKED_PRIME_MAX = 13
-# p -> the 256 bytes i % p; each is built by the first packed echelon over p
+# p -> the 256 bytes i % p, and p -> the 256 bytes -i % p; both are built
+# by the first packed store over p
 _MOD = {}
+_NEG = {}
+
+
+def _packs(field):
+    """Whether ``field`` keeps packed vectors; builds its byte tables."""
+    if not (isinstance(field, PrimeField) and field.p <= PACKED_PRIME_MAX):
+        return False
+    p = field.p
+    if p not in _MOD:
+        _MOD[p] = bytes(i % p for i in range(256))
+        _NEG[p] = bytes(-i % p for i in range(256))
+    return True
+
+
+def _delay(p):
+    """How many axpys a byte holding p-1 takes before it must be folded."""
+    return (255 - (p - 1)) // (p - 1) ** 2
+
+
+def _fold(v, table):
+    """``v`` with every byte mapped through ``table`` (``_MOD[p]`` or ``_NEG[p]``)."""
+    data = v.to_bytes((v.bit_length() + 7) >> 3, "little")
+    return int.from_bytes(data.translate(table), "little")
 
 
 class SparseMatrix:
@@ -61,24 +95,29 @@ class Echelon:
     rows; ``QuotientEngine`` relies on that (its retirement argument), and
     it is why a packed row's byte order must be key order.
 
-    An echelon is filled either by ``add`` or by ``express``.  ``express``
-    numbers the vectors it keeps 0, 1, ...; each row carries, past every
-    key, its coefficients on them, which the row operations carry along and
-    never pivot on; it needs the keys.  ``NicholsEngine`` reads a dependent
+    ``add`` and ``express`` take a dict over the keys, or a packed echelon's
+    own int, whose byte s is the coefficient of the s-th least key: the
+    graded engines hand it the ints their store builds.  An echelon is
+    filled either by ``add`` or by ``express``.  ``express`` numbers the
+    vectors it keeps 0, 1, ...; each row carries, past every key, its
+    coefficients on them, which the row operations carry along and never
+    pivot on; it needs the keys.  ``NicholsEngine`` reads a dependent
     vector's coordinates there.
     """
 
     def __init__(self, field, keys=None):
         self.field = field
         self._rows = {}
-        if keys is not None and isinstance(field, PrimeField) and field.p <= PACKED_PRIME_MAX:
+        if keys is not None and _packs(field):
             p = self._p = field.p
-            if p not in _MOD:
-                _MOD[p] = bytes(i % p for i in range(256))
-            self._mod = _MOD[p]
-            self._delay = (255 - (p - 1)) // (p - 1) ** 2
+            self._mod, self._neg = _MOD[p], _NEG[p]
+            self._delay = _delay(p)
             self._keys = sorted(keys)
             self._slot = {k: s for s, k in enumerate(self._keys)}
+            # the bits of the keys' bytes, and 255 at each pivot's byte
+            self._at = len(self._keys) << 3
+            self._mask, self._pivots = (1 << self._at) - 1, 0
+            self._letters = None
         else:
             self._slot = None
             # express's coefficient on kept vector i is at key top + i
@@ -111,15 +150,19 @@ class Echelon:
 
     def express(self, vec):
         """None if ``vec`` is independent of the vectors kept before it, which
-        keeps it; otherwise its coordinates {i: c} in kept vectors 0, 1, ..."""
+        keeps it; otherwise its coordinates in kept vectors 0, 1, ...: a dict
+        {i: c} for a dict ``vec``, an int with byte i for a packed one."""
         if self._slot is not None:
             i, rest = len(self._rows), self._reduce(vec)
-            at = len(self._keys) << 3
-            if rest & ((1 << at) - 1):
+            at = self._at
+            if rest & self._mask:
                 self._insert(rest | 1 << (at + (i << 3)))
                 return None
-            p, data = self._p, (rest >> at).to_bytes(i, "little")
-            return {j: p - data[j] for j in compress(range(i), data)}
+            form = _fold(rest >> at, self._neg)
+            if not isinstance(vec, dict):
+                return form
+            data = form.to_bytes(i, "little")
+            return {j: data[j] for j in compress(range(i), data)}
         top, rows, f = self._top, self._rows, self.field
         if max(vec, default=-1) >= top:
             # a key past the keys would be read as a coefficient; a packed
@@ -138,10 +181,45 @@ class Echelon:
             return None
         return {k - top: neg(c) for k, c in rest.items()}
 
-    def _fold(self, v):
-        """``v`` with every byte reduced mod p."""
-        data = v.to_bytes((v.bit_length() + 7) >> 3, "little")
-        return int.from_bytes(data.translate(self._mod), "little")
+    def split(self, vec, nb):
+        """A vector cut by letter, key = x * nb + j: {x: its part over the j},
+        for each x with a nonzero part, in the engines' vector store."""
+        if self._slot is None:
+            out = {}
+            for key, c in vec.items():
+                x, j = divmod(key, nb)
+                out.setdefault(x, {})[j] = c
+            return out
+        if self._letters is None:
+            # (x, bit offset, mask, span) per letter: its keys are consecutive
+            runs = {}
+            for s, key in enumerate(self._keys):
+                x, j = divmod(key, nb)
+                runs.setdefault(x, (s << 3, []))[1].append(j)
+            self._letters = [(x, at, (1 << (len(span) << 3)) - 1, span) for x, (at, span) in runs.items()]
+        out = {}
+        for x, at, mask, span in self._letters:
+            part = vec >> at & mask
+            if part:
+                out[x] = span, part
+        return out
+
+    def forms(self, keys):
+        """The keys of ``keys`` at no pivot, in that order, and (pivot, form)
+        for each row: the pivot's class modulo the rows, minus the row's
+        entries at those keys by position, as a dict or a packed int."""
+        rows = self._rows
+        free = [key for key in keys if key not in rows]
+        if self._slot is None:
+            neg = self.field.neg
+            index = {key: i for i, key in enumerate(free)}
+            return free, [(piv, {index[k]: neg(c) for k, c in row.items() if k != piv})
+                          for piv, row in rows.items()]
+        n, neg, slots = len(self._keys), self._neg, [self._slot[key] for key in free]
+        # itemgetter of one slot gives a scalar, not a 1-tuple
+        take = itemgetter(*slots) if len(slots) > 1 else lambda data: [data[s] for s in slots]
+        return free, [(piv, int.from_bytes(bytes(take(row.to_bytes(n, "little"))).translate(neg), "little"))
+                      for piv, row in rows.items()]
 
     def _reduce(self, vec):
         """``vec`` less a multiple of each row whose pivot it holds, in the store's form."""
@@ -151,20 +229,23 @@ class Echelon:
             for key in [k for k in vec if k in rows]:
                 axpy(vec, rows[key], neg(vec[key]))
             return vec
-        slot, p, delay = self._slot, self._p, self._delay
-        buf = bytearray(len(slot))
-        for k, c in vec.items():
-            buf[slot[k]] = c
-        # each axpy adds at most (p-1)^2 to a byte: fold after ``delay`` of them
-        v, pending = int.from_bytes(buf, "little"), 0
-        for k, c in vec.items():
-            row = rows.get(k)
-            if row is not None:
-                v += (p - c) * row
-                pending += 1
-                if pending == delay:
-                    v, pending = self._fold(v), 0
-        return self._fold(v) if pending else v
+        if isinstance(vec, dict):
+            buf, slot = bytearray(len(self._keys)), self._slot
+            for k, c in vec.items():
+                buf[slot[k]] = c
+            vec = int.from_bytes(buf, "little")
+        # the rows are 0 at each other's pivots, so vec's bytes there are the
+        # factors; each axpy adds at most (p-1)^2 to a byte: fold after
+        # ``delay`` of them
+        hits = vec & self._pivots
+        data = hits.to_bytes((hits.bit_length() + 7) >> 3, "little")
+        p, keys, delay, mod, pending = self._p, self._keys, self._delay, self._mod, 0
+        for s in compress(range(len(data)), data):
+            vec += (p - data[s]) * rows[keys[s]]
+            pending += 1
+            if pending == delay:
+                vec, pending = _fold(vec, mod), 0
+        return _fold(vec, mod) if pending else vec
 
     def _insert(self, vec):
         """Add a reduced nonzero ``vec`` as a row, reducing the others by it."""
@@ -182,13 +263,153 @@ class Echelon:
         # the pivot is the lowest nonzero byte
         at = ((vec & -vec).bit_length() - 1) & ~7
         c = vec >> at & 255
-        row = vec if c == 1 else self._fold(vec * f.inv(c))
-        p = self._p
+        row = vec if c == 1 else _fold(vec * f.inv(c), self._mod)
+        p, mod = self._p, self._mod
         for piv, other in rows.items():
             c = other >> at & 255
             if c:
-                rows[piv] = self._fold(other + (p - c) * row)
+                rows[piv] = _fold(other + (p - c) * row, mod)
         rows[self._keys[at >> 3]] = row
+        self._pivots |= 255 << at
+
+
+def vectors(field, nfmul, spans, basis):
+    """The store of a graded engine's vectors over ``field``.
+
+    It reads the engine's tables as the engine fills them: ``basis[n]``,
+    the normal form nfmul[n][key] of candidate key = y * len(basis[n-1]) + j
+    and spans[n][key], the basis indices of that candidate's grade block.
+    """
+    return (PackedVectors if _packs(field) else DictVectors)(field, nfmul, spans, basis)
+
+
+class DictVectors:
+    """Vectors as sparse dicts basis index -> scalar; a normal form is one too.
+
+    The store's operations, which :class:`PackedVectors` shares: ``unit``,
+    ``entry`` and ``vector`` make normal forms and vectors, ``coords``
+    reads one, ``word_times`` multiplies by a word and ``lift`` builds a
+    grade block's candidate vector.
+    """
+
+    def __init__(self, field, nfmul, spans, basis):
+        # a dict carries its own indices: the spans go unread
+        self.f, self.nfmul, self.basis = field, nfmul, basis
+
+    def unit(self, span, pos):
+        """The normal form of basis word span[pos]."""
+        return {span[pos]: self.f.one}
+
+    def entry(self, span, form):
+        """The normal form whose coordinates on span, by position, are ``form``."""
+        return {span[i]: c for i, c in form.items()}
+
+    def vector(self, span, entry):
+        """The vector of a normal form over span."""
+        return entry
+
+    def coords(self, vec):
+        """A vector as a dict basis index -> scalar."""
+        return vec
+
+    def word_times(self, word, vec, n):
+        """word times a vector of degree n, expanded in the basis."""
+        axpy, nfmul, basis = self.f.axpy, self.nfmul, self.basis
+        for y in reversed(word):
+            out = {}
+            ynb = y * len(basis[n])
+            n += 1
+            nf = nfmul[n]
+            for j, c in vec.items():
+                axpy(out, nf[ynb + j], c)
+            vec = out
+        return vec
+
+    def lift(self, ech, terms, n, key=None):
+        """The degree-n vector in ``ech``'s store: 1 at ``key`` if given, plus
+        each term's c * x * (word * vec).
+
+        A term (x, word, vec, c) has vec in degree n-1-len(word).  word * vec
+        is expanded in basis[n-1], and x in front of its basis word j is the
+        candidate key x * nb + j.
+        """
+        out = {} if key is None else {key: self.f.one}
+        nb, axpy, word_times = len(self.basis[n - 1]), self.f.axpy, self.word_times
+        for x, word, vec, c in terms:
+            xnb = x * nb
+            tail = word_times(word, vec, n - 1 - len(word))
+            axpy(out, {xnb + j: cj for j, cj in tail.items()}, c)
+        return out
+
+
+class PackedVectors:
+    """Vectors over ``PrimeField(p)``, p <= 13, as (span, int), byte s the
+    coefficient of basis index span[s]; a normal form is the int alone.
+
+    The operations are :class:`DictVectors`'."""
+
+    def __init__(self, field, nfmul, spans, basis):
+        self.nfmul, self.spans, self.basis = nfmul, spans, basis
+        p = field.p
+        self._mod, self._delay = _MOD[p], _delay(p)
+
+    def unit(self, span, pos):
+        return 1 << (pos << 3)
+
+    def entry(self, span, form):
+        # a block's form is over its words' span already
+        return form
+
+    def vector(self, span, entry):
+        return span, entry
+
+    def coords(self, vec):
+        span, v = vec
+        data = v.to_bytes((v.bit_length() + 7) >> 3, "little")
+        return dict(zip(compress(span, data), compress(data, data)))
+
+    def word_times(self, word, vec, n):
+        span, v = vec
+        nfmul, spans, basis, mod, delay = self.nfmul, self.spans, self.basis, self._mod, self._delay
+        for y in reversed(word):
+            if not v:
+                break
+            ynb = y * len(basis[n])
+            n += 1
+            nf = nfmul[n]
+            # every y * basis[n-1][j], j in span, has one grade: their
+            # forms share the span of ynb + span[0]
+            at = v.bit_length() - 1
+            if not v & (v - 1) and not at & 7:
+                # one coefficient, 1: its form is the product
+                v = nf[ynb + span[at >> 3]]
+            else:
+                data = v.to_bytes((at >> 3) + 1, "little")
+                v = pending = 0
+                for j, c in zip(compress(span, data), compress(data, data)):
+                    v += c * nf[ynb + j]
+                    pending += 1
+                    if pending == delay:
+                        v, pending = _fold(v, mod), 0
+                if pending:
+                    v = _fold(v, mod)
+            span = spans[n][ynb + span[0]]
+        return span, v
+
+    def lift(self, ech, terms, n, key=None):
+        # word * vec lies in one grade block of degree n-1, whose keys
+        # x * nb + j are consecutive slots of ech: one shift places it
+        slot, nb, mod, delay = ech._slot, len(self.basis[n - 1]), self._mod, self._delay
+        out = 0 if key is None else 1 << (slot[key] << 3)
+        pending = 0
+        for x, word, vec, c in terms:
+            span, tail = self.word_times(word, vec, n - 1 - len(word))
+            if tail:
+                out += c * tail << (slot[x * nb + span[0]] << 3)
+                pending += 1
+                if pending == delay:
+                    out, pending = _fold(out, mod), 0
+        return _fold(out, mod) if pending else out
 
 
 def echelon(field, rows):

@@ -24,21 +24,24 @@ from fractions import Fraction
 
 from . import hilbert
 from .hurwitz import orbits as hurwitz_orbits
-from .linalg import Echelon, SparseMatrix, kernel_dim, rank
+from .linalg import Echelon, SparseMatrix, kernel_dim, rank, vectors
 from .percolate import orbit_plague
 
 # a degree's blocks are forked out only when the degree before took this long.
 # Timed on the F_7 t-new inputs (perfbench modular_inputs(1)), 2-core host,
-# median of 5 runs in-process against 2 forked parts at every degree: a tiny
-# degree took 4-6 ms forked (the fork and merge cost), and forking won from
-# about 12 ms of in-process work.  Every degree that forks at 50 ms wins:
-# quotient degree 9 (after 46 ms) took 57 ms forked against 83 ms, degree 13
-# 162 against 273 ms.  Lower thresholds would also fork quotient degrees 7-9
-# and Nichols degrees 7-8, about 70 ms of 1.7 s, but the quick profile's
-# slowest deciding degree takes 13-16 ms, and quick must never fork.
+# median of 7 runs with every degree in-process against every degree forked
+# in 2 parts: a tiny degree took 3-6 ms forked (the fork and merge cost),
+# and forking won from about 9 ms of in-process work (quotient degree 7,
+# 8.8 against 8.5 ms; Nichols degree 7, 12.0 against 10.3 ms).  At 30 ms
+# the quotient forks from degree 10 or 11 to 18 (degree 13, after 90 ms,
+# took 67 ms forked against 102 ms) and the Nichols engine degree 10 (39
+# against 62 ms).  A lower threshold would fork more winning degrees, but
+# quick must never fork: its slowest deciding degree (C-sign+-1 degree 3,
+# over QQ) took 7-11 ms in the same runs and 14-17 ms when the host ran
+# about half as fast.
 # _PARTS, if set, replaces the one process per usable CPU.  Both are
 # private: the tests set them to force either side, and nothing else should.
-_FORK_SECONDS = 0.05
+_FORK_SECONDS = 0.03
 _PARTS = None
 
 
@@ -205,7 +208,9 @@ class GradedEngine:
 
     * grades[n][i]: the monomial-matrix grade of basis[n][i];
     * nfmul[n][y * nb + j], nb = len(basis[n-1]): the class of the
-      candidate y * basis[n-1][j] expanded in basis[n].
+      candidate y * basis[n-1][j] expanded in basis[n];
+    * spans[n][y * nb + j]: the basis indices of that candidate's grade
+      block, the words its class can hold.
 
     That key is a candidate's one name, in nfmul and in every vector and
     echelon row.  The candidates of degree n are grouped by grade, which
@@ -216,11 +221,15 @@ class GradedEngine:
     block goes to the subclass's ``_reduce_block(n, grade, keys, ctx)``,
     which builds the block's vectors, eliminates them and returns
     (new, forms, extra): the keys that become basis words, in order, each
-    other candidate's class in block-local indices (positions in new), and
-    what else the subclass keeps; ``_merge_block`` appends them to degree n.
-    NicholsEngine's vectors are the candidates' derivations; QuotientEngine's
-    are the placements r * b, whose grade grade(r) * grade(b) is known
-    before they are placed.  Both build every vector through ``_lift``.
+    other candidate's class by position in new, and what else the subclass
+    keeps; ``_merge_block`` appends them to degree n, so a block's words are
+    consecutive in basis[n].  NicholsEngine's vectors are the candidates'
+    derivations; QuotientEngine's are the placements r * b, whose grade
+    grade(r) * grade(b) is known before they are placed.
+
+    Every vector, form and echelon row is in the store that the field picks
+    (``linalg.vectors``), and only ``self.vs`` and ``linalg.Echelon`` look
+    inside one: ``form`` reads a class as a dict.
 
     A block reads only lower degrees and ctx, never another block's output,
     so the blocks of a degree may run in separate processes
@@ -238,7 +247,14 @@ class GradedEngine:
             0: [self.grading.unit],
             1: [self.grading.of_word((x,)) for x in range(d)],
         }
-        self.nfmul = {1: [{x: self.f.one} for x in range(d)]}
+        # degree 1's grade blocks: the letters of each grade, in order
+        letters = {}
+        for x, grade in enumerate(self.grades[1]):
+            letters.setdefault(grade, []).append(x)
+        self.spans = {1: [letters[grade] for grade in self.grades[1]]}
+        self.nfmul = {}
+        self.vs = vectors(self.f, self.nfmul, self.spans, self.basis)
+        self.nfmul[1] = [self.vs.unit(span, span.index(x)) for x, span in enumerate(self.spans[1])]
         self.seconds = {}
         self.parts = {}
 
@@ -256,6 +272,10 @@ class GradedEngine:
             self._build_degree(n)
             self.seconds[n] = time.perf_counter() - start
 
+    def form(self, n, key):
+        """The class of degree-n candidate ``key`` as a dict over basis[n] indices."""
+        return self.vs.coords(self.vs.vector(self.spans[n][key], self.nfmul[n][key]))
+
     def _grade_blocks(self, n):
         """Start degree n; its (grade, candidate keys) blocks, in discovery order."""
         blocks = {}
@@ -264,7 +284,8 @@ class GradedEngine:
         for j, grade in enumerate(self.grades[n - 1]):
             for y in range(d):
                 blocks.setdefault(mul(mats[y], grade), []).append(y * nb + j)
-        self.basis[n], self.grades[n], self.nfmul[n] = [], [], [None] * (d * nb)
+        self.basis[n], self.grades[n] = [], []
+        self.nfmul[n], self.spans[n] = [None] * (d * nb), [None] * (d * nb)
         return list(blocks.items())
 
     def _run_blocks(self, n, blocks, ctx):
@@ -297,63 +318,34 @@ class GradedEngine:
     def _merge_block(self, n, grade, out):
         """Append a block's basis words to degree n, set its forms; its extra.
 
-        Each form is rebuilt on the index ints that _new_word made, so
-        nfmul's dicts share one int per basis word, where a remapped or
-        unpickled index would be a new int per entry past 256.
+        The block's words get the next indices, its span; a dict form is
+        rebuilt on the span's ints, so nfmul's dicts share one int per
+        basis word, where an unpickled index would be a new int per entry
+        past 256.
         """
         new, forms, extra = out
-        index = [self._new_word(n, key, grade) for key in new]
-        nf = self.nfmul[n]
+        words, prev, nb = self.basis[n], self.basis[n - 1], len(self.basis[n - 1])
+        span = list(range(len(words), len(words) + len(new)))
+        nf, spans, vs = self.nfmul[n], self.spans[n], self.vs
+        for pos, key in enumerate(new):
+            y, j = divmod(key, nb)
+            words.append((y,) + prev[j])
+            nf[key], spans[key] = vs.unit(span, pos), span
+        self.grades[n] += [grade] * len(new)
         for key, form in forms:
-            nf[key] = {index[i]: c for i, c in form.items()}
+            nf[key], spans[key] = vs.entry(span, form), span
         return extra
 
-    def _new_word(self, n, key, grade):
-        """Make candidate ``key`` the next basis word of degree n; its index."""
-        y, j = divmod(key, len(self.basis[n - 1]))
-        words = self.basis[n]
-        i = len(words)
-        words.append((y,) + self.basis[n - 1][j])
-        self.grades[n].append(grade)
-        self.nfmul[n][key] = {i: self.f.one}
-        return i
-
-    def _word_times(self, word, coords, n):
-        """word times a vector in basis[n] coordinates, expanded in the basis."""
-        axpy, nfmul, basis = self.f.axpy, self.nfmul, self.basis
-        for y in reversed(word):
-            out = {}
-            ynb = y * len(basis[n])
-            n += 1
-            nf = nfmul[n]
-            for j, c in coords.items():
-                axpy(out, nf[ynb + j], c)
-            coords = out
-        return coords
-
-    def _lift(self, out, terms, n):
-        """Add each term's c * x * (word * coords) to out at degree-n keys; out.
-
-        A term (x, word, coords, c) has coords in basis[n-1-len(word)]
-        coordinates.  word * coords is expanded in basis[n-1], and x in front
-        of its basis word j is the candidate key x * nb + j.
-        """
-        nb, axpy, word_times = len(self.basis[n - 1]), self.f.axpy, self._word_times
-        for x, word, coords, c in terms:
-            xnb = x * nb
-            tail = word_times(word, coords, n - 1 - len(word))
-            axpy(out, {xnb + j: cj for j, cj in tail.items()}, c)
-        return out
-
     def nf_vector(self, vec, n):
-        """Class of a free degree-n vector in basis[n] coordinates."""
+        """Class of a free degree-n vector, as a dict over basis[n] indices."""
         self.extend(n)
         out = {}
-        axpy, one = self.f.axpy, self.f.one
+        vs, axpy = self.vs, self.f.axpy
+        unit = vs.vector([0], vs.unit([0], 0))
         for w, c in vec.items():
             if len(w) != n:
                 raise NotHomogeneous("vector mixes degrees")
-            axpy(out, self._word_times(w, {0: one}, 0), c)
+            axpy(out, vs.coords(vs.word_times(w, unit, 0)), c)
         return out
 
 
@@ -361,17 +353,22 @@ class NicholsEngine(GradedEngine):
     """Graded data of the braided space's quotient by the symmetrizer kernels.
 
     Besides the basis and nfmul of :class:`GradedEngine` it keeps, for its
-    top degree n only, dmat[i] = {x: d_x(basis[n][i])}, each derivation
-    expanded in basis[n-1] and only the nonzero ones kept.  A candidate is
-    eliminated when its derivations depend on those of the candidates before
-    it in its block: u lies in ker S_n exactly when every d_x(u) lies in
-    ker S_{n-1}.
+    top degree n only, dmat[i] = {x: d_x(basis[n][i])}, each derivation a
+    vector of degree n-1 and only the nonzero ones kept (``derivations``
+    reads them as dicts).  A candidate is eliminated when its derivations
+    depend on those of the candidates before it in its block: u lies in
+    ker S_n exactly when every d_x(u) lies in ker S_{n-1}.
     """
 
     def __init__(self, b):
         super().__init__(b)
         # d_x(y) is 1 when x = y and 0 otherwise
-        self.dmat = [{x: {0: self.f.one}} for x in range(b.dim)]
+        one = self.vs.vector([0], self.vs.unit([0], 0))
+        self.dmat = [{x: one} for x in range(b.dim)]
+
+    def derivations(self, i):
+        """{x: d_x(basis[n][i])} at the top degree n, each a dict over basis[n-1] indices."""
+        return {x: self.vs.coords(dx) for x, dx in self.dmat[i].items()}
 
     def _build_degree(self, n):
         # each block returns its words' derivations, in discovery order
@@ -380,30 +377,24 @@ class NicholsEngine(GradedEngine):
 
     def _reduce_block(self, n, grade, cands, prev_d):
         """Eliminate the block's derivations; its words, forms and dmat rows."""
-        f = self.f
-        one = f.one
         q, t = self.b.cocycle.q, self.b.rack.table
-        nb = len(self.basis[n - 1])
+        nb, lift = len(self.basis[n - 1]), self.vs.lift
         new, forms, dm = [], [], []
         # d_x of a word of grade g has grade M_x^-1 g, so a derivation key
         # x * nb + i is itself a candidate of this block: the keys are cands
-        ech = Echelon(f, cands)
+        ech = Echelon(self.f, cands)
         for cand in cands:
             # d_x(y w) = delta_{x,y} w + q[y][z] y d_z(w) with y |> z = x,
             # keyed x * nb + i; it reads only prev_d and nfmul[n-1], so each
             # candidate's vector is built as it is reduced
             y, j = divmod(cand, nb)
             qy, ty = q[y], t[y]
-            vec = self._lift({cand: one}, [(ty[z], (y,), dz, qy[z]) for z, dz in prev_d[j].items()], n)
+            vec = lift(ech, [(ty[z], (y,), dz, qy[z]) for z, dz in prev_d[j].items()], n, cand)
             form = ech.express(vec)
             if form is None:
                 new.append(cand)
                 # the kept word's derivations, split by letter
-                dx = {}
-                for key, c in vec.items():
-                    x, i = divmod(key, nb)
-                    dx.setdefault(x, {})[i] = c
-                dm.append(dx)
+                dm.append(ech.split(vec, nb))
             else:
                 # dependent: its class in the block's chosen words
                 forms.append((cand, form))

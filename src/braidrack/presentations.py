@@ -116,19 +116,15 @@ class QuotientEngine(GradedEngine):
     def _reduce_block(self, n, grade, cands, placements):
         """Place and eliminate the block's relations; its words, forms and
         the indices of the relations that made a row."""
-        f = self.f
-        ideal = Echelon(f, cands)
+        vs, relations = self.vs, self.p.relations
+        ideal = Echelon(self.f, cands)
         made_rows = set()
         for i, bidx in placements.get(grade, ()):
             # r * b: each term c w of r is w[0] * (w[1:] * b)
-            tail = {bidx: f.one}
-            vec = self._lift({}, [(w[0], w[1:], tail, c) for w, c in self.p.relations[i].items()], n)
-            if ideal.add(vec):
+            tail = vs.vector([bidx], vs.unit([bidx], 0))
+            if ideal.add(vs.lift(ideal, [(w[0], w[1:], tail, c) for w, c in relations[i].items()], n)):
                 made_rows.add(i)
-        new = [key for key in cands if key not in ideal]
-        index = {key: i for i, key in enumerate(new)}
-        forms = [(key, {index[k]: f.neg(v) for k, v in row.items() if k != key})
-                 for key, row in ideal.items()]
+        new, forms = ideal.forms(cands)
         return new, forms, made_rows
 
 

@@ -261,7 +261,7 @@ def preset(name):
                 return affine_rack(int(parts[0]), int(parts[1]))
             except ValueError:
                 pass
-    raise UnknownPreset(name)
+    raise UnknownPreset("unknown rack preset %r" % name)
 
 
 # ---------------------------------------------------------------------------

@@ -20,6 +20,16 @@ def test_preset_list(capsys):
     assert "D3" in out and "Aff(9,2)" in out
 
 
+@pytest.mark.parametrize("argv", [
+    ["rack", "info", "nosuch"], ["nichols", "dims", "nosuch"], ["hurwitz", "census", "nosuch"],
+])
+def test_an_unknown_rack_preset_is_named(capsys, argv):
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == "error: unknown rack preset 'nosuch'\n"
+
+
 def test_rack_info_json(capsys):
     code, out = run(capsys, "--format", "json", "rack", "info", "T")
     assert code == 0

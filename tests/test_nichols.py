@@ -119,8 +119,8 @@ def _nichols_digest(eng):
         nb = len(eng.basis[n - 1])
         assert len(eng.nfmul[n]) == eng.b.dim * nb and None not in eng.nfmul[n]
         data.append((n, eng.basis[n], [
-            (divmod(key, nb), sorted((i, scalar(c)) for i, c in v.items()))
-            for key, v in enumerate(eng.nfmul[n])
+            (divmod(key, nb), sorted((i, scalar(c)) for i, c in eng.form(n, key).items()))
+            for key in range(len(eng.nfmul[n]))
         ]))
     return hashlib.sha256(repr(data).encode()).hexdigest()
 
@@ -227,6 +227,20 @@ def test_import_and_the_quick_profile_build_no_packed_rows():
     assert out.stdout.split() == ["[]", "[]"]
 
 
+def test_the_quick_profile_never_forks():
+    # its slowest deciding degree takes a quarter to a half of _FORK_SECONDS
+    # (the comment there): no degree of quick runs its blocks in forked
+    # processes
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    code = ("import sys, braidrack; assert braidrack.verify_paper('quick').ok(); "
+            "print('braidrack.parallel' in sys.modules)")
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, check=True,
+    )
+    assert out.stdout.split() == ["False"]
+
+
 def test_nichols_engine_keeps_the_top_degree_derivations_only():
     space = workloads.modular_inputs(1).space
     eng = NicholsEngine(space)
@@ -235,13 +249,15 @@ def test_nichols_engine_keeps_the_top_degree_derivations_only():
     # each derivation nonzero and in basis[9] coordinates
     assert len(eng.dmat) == len(eng.basis[10])
     nb = len(eng.basis[9])
-    for dx in eng.dmat:
+    for k in range(len(eng.dmat)):
+        dx = eng.derivations(k)
         assert dx and all(0 <= x < space.dim and v for x, v in dx.items())
         assert all(0 <= i < nb for v in dx.values() for i in v)
     eng.extend(11)
     fresh = NicholsEngine(space)
     assert [len(eng.basis[n]) for n in range(12)] == fresh.dims(11)
-    assert eng.basis[11] == fresh.basis[11] and eng.nfmul[11] == fresh.nfmul[11]
+    assert eng.basis[11] == fresh.basis[11]
+    assert all(eng.form(11, key) == fresh.form(11, key) for key in range(len(eng.nfmul[11])))
 
 
 @pytest.mark.parametrize("space, up_to", [
@@ -260,7 +276,7 @@ def test_stored_derivations_are_the_free_word_derivations(space, up_to):
         assert len(eng.dmat) == len(eng.basis[n])
         for i, w in enumerate(eng.basis[n]):
             for x in range(b.dim):
-                assert eng.dmat[i].get(x, {}) == eng.nf_vector(derive(b, x, {w: one}), n - 1)
+                assert eng.derivations(i).get(x, {}) == eng.nf_vector(derive(b, x, {w: one}), n - 1)
 
 
 @pytest.mark.parametrize("space", [
@@ -275,7 +291,8 @@ def test_nfmul_relations_lie_in_the_symmetrizer_kernel(space):
     for n in range(2, 5):
         words = set(eng.basis[n])
         nb = len(eng.basis[n - 1])
-        for key, coords in enumerate(eng.nfmul[n]):
+        for key in range(len(eng.nfmul[n])):
+            coords = eng.form(n, key)
             y, j = divmod(key, nb)
             word = (y,) + eng.basis[n - 1][j]
             if word in words:

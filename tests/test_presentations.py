@@ -206,7 +206,9 @@ class _PlaceEveryRelation(QuotientEngine):
 
 
 def _graded_data(eng, up_to):
-    return eng.dims(up_to), eng.basis, eng.nfmul
+    dims = eng.dims(up_to)
+    forms = {n: [eng.form(n, key) for key in range(len(eng.nfmul[n]))] for n in eng.nfmul}
+    return dims, eng.basis, forms
 
 
 def _t_new_mod7():
@@ -315,9 +317,15 @@ class _CheckBlockContract(_PlaceEveryRelation):
 
 
 def _placement(eng, r, bidx, n):
-    """r * basis[n - deg r][bidx] in degree-n candidate keys, through the lift."""
-    tail = {bidx: eng.f.one}
-    return eng._lift({}, [(w[0], w[1:], tail, c) for w, c in r.items()], n)
+    """r * basis[n - deg r][bidx] in degree-n candidate keys, as a dict: each
+    term c w is w[0] * (w[1:] * b), multiplied out by the engine's store."""
+    vs, f, nb = eng.vs, eng.f, len(eng.basis[n - 1])
+    tail = vs.vector([bidx], vs.unit([bidx], 0))
+    vec = {}
+    for w, c in r.items():
+        part = vs.coords(vs.word_times(w[1:], tail, n - len(w)))
+        f.axpy(vec, {w[0] * nb + j: cj for j, cj in part.items()}, c)
+    return vec
 
 
 def _nonzero_placements(eng, up_to):
@@ -353,7 +361,7 @@ def _quotient_digest(eng):
         nb = len(eng.basis[n - 1])
         assert len(eng.nfmul[n]) == eng.b.dim * nb and None not in eng.nfmul[n]
         data.append((n, eng.basis[n], [
-            (divmod(key, nb), sorted(v.items())) for key, v in enumerate(eng.nfmul[n])
+            (divmod(key, nb), sorted(eng.form(n, key).items())) for key in range(len(eng.nfmul[n]))
         ]))
     return hashlib.sha256(repr(data).encode()).hexdigest()
 
