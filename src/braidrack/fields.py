@@ -527,10 +527,14 @@ class QuadraticRationalField(QuotientRing):
             return (a // g, b // g, den // g)
         return (a, b, den)
 
+    # add, sub and mul skip _norm for denominator 1: gcd(a, b, 1) = 1
+
     def add(self, x, y):
         a1, b1, d1 = x
         a2, b2, d2 = y
         if d1 == d2:
+            if d1 == 1:
+                return (a1 + a2, b1 + b2, 1)
             return self._norm(a1 + a2, b1 + b2, d1)
         return self._norm(a1 * d2 + a2 * d1, b1 * d2 + b2 * d1, d1 * d2)
 
@@ -538,6 +542,8 @@ class QuadraticRationalField(QuotientRing):
         a1, b1, d1 = x
         a2, b2, d2 = y
         if d1 == d2:
+            if d1 == 1:
+                return (a1 - a2, b1 - b2, 1)
             return self._norm(a1 - a2, b1 - b2, d1)
         return self._norm(a1 * d2 - a2 * d1, b1 * d2 - b2 * d1, d1 * d2)
 
@@ -548,9 +554,8 @@ class QuadraticRationalField(QuotientRing):
         a1, b1, d1 = x
         a2, b2, d2 = y
         bb = b1 * b2
-        return self._norm(
-            a1 * a2 - self.v * bb, a1 * b2 + a2 * b1 - self.u * bb, d1 * d2
-        )
+        a, b, den = a1 * a2 - self.v * bb, a1 * b2 + a2 * b1 - self.u * bb, d1 * d2
+        return (a, b, 1) if den == 1 else self._norm(a, b, den)
 
     def inv(self, x):
         a, b, den = x

@@ -9,16 +9,20 @@ The field picks one store for every vector of a graded engine: its normal
 forms, its Nichols derivations, its grade blocks' candidate vectors and the
 echelon rows they reduce to.  Over ``PrimeField(p)`` with p <= 13 a vector
 is one int with a byte per coordinate, the first in the lowest byte, and an
-axpy is one big-int multiply-add: a byte then holds at most
-(p-1) + (p-1)^2 <= 255, so no byte carries into the next, and
-``(255 - (p-1)) // (p-1)^2`` axpys fit before one ``bytes.translate``
-reduces every byte mod p (``_fold``).  That is delayed modular reduction
-over word-packed vectors, as in FFLAS-FFPACK (Dumas, Giorgi and Pernet, ACM
-TOMS 35(3), 2008).  Every other field keeps sparse dicts and its own
-``Field.axpy``.  :func:`vectors` gives an engine its store, and an
-:class:`Echelon` handed its key universe packs by the same rule; one with
-no key universe (the small matrices of ``rank`` and ``kernel_basis``) keeps
-dict rows.  Both pivot on a row's least key, so they give the same rows.
+axpy is one big-int multiply-add.  Each sum keeps an upper bound on its
+bytes: p-1 once folded, and an axpy by factor c adds at most c(p-1).  No
+byte may pass 255, or it would carry into the next, so a sum is folded (one
+``bytes.translate`` reduces every byte mod p, ``_fold``) only when its next
+axpy could take it past 255; since (p-1) + (p-1)^2 <= 255, one axpy always
+fits after a fold.  An echelon's rows are folded the same way, and lazily:
+a row updated by an insert stays unfolded until it is read.  That is delayed
+modular reduction over word-packed vectors, as in FFLAS-FFPACK (Dumas,
+Giorgi and Pernet, ACM TOMS 35(3), 2008).  Every other field keeps sparse
+dicts and its own ``Field.axpy``.  :func:`vectors` gives an engine its
+store, and an :class:`Echelon` handed its key universe packs by the same
+rule; one with no key universe (the small matrices of ``rank`` and
+``kernel_basis``) keeps dict rows.  Both pivot on a row's least key, so
+they give the same rows.
 
 A packed vector's bytes stand for the basis indices of a *span*, one grade
 block's basis words of one degree, so an engine's vector is a pair
@@ -35,7 +39,7 @@ from operator import itemgetter
 
 from .fields import PrimeField
 
-# a byte of a packed vector holds (p-1) + (p-1)^2 after one axpy
+# a folded byte takes one axpy, (p-1) + (p-1)^2 <= 255, for p <= 13
 PACKED_PRIME_MAX = 13
 # p -> the 256 bytes i % p, and p -> the 256 bytes -i % p; both are built
 # by the first packed store over p
@@ -52,11 +56,6 @@ def _packs(field):
         _MOD[p] = bytes(i % p for i in range(256))
         _NEG[p] = bytes(-i % p for i in range(256))
     return True
-
-
-def _delay(p):
-    """How many axpys a byte holding p-1 takes before it must be folded."""
-    return (255 - (p - 1)) // (p - 1) ** 2
 
 
 def _fold(v, table):
@@ -95,6 +94,14 @@ class Echelon:
     rows; ``QuotientEngine`` relies on that (its retirement argument), and
     it is why a packed row's byte order must be key order.
 
+    Packed rows are read fully reduced mod p.  An insert updates the other
+    rows without folding them, and keeps each updated row's byte bound
+    until its next fold: a row is folded when an update could take a byte
+    past 255, when ``add`` or ``express`` reduces a vector by it (its
+    factors are read once, so it must be exactly 0 at the other pivots),
+    and by ``items``.  An insert and ``forms`` read an unfolded row's bytes
+    mod p.
+
     ``add`` and ``express`` take a dict over the keys, or a packed echelon's
     own int, whose byte s is the coefficient of the s-th least key: the
     graded engines hand it the ints their store builds.  An echelon is
@@ -111,7 +118,8 @@ class Echelon:
         if keys is not None and _packs(field):
             p = self._p = field.p
             self._mod, self._neg = _MOD[p], _NEG[p]
-            self._delay = _delay(p)
+            # pivot -> byte bound of each row updated since its last fold
+            self._stale = {}
             self._keys = sorted(keys)
             self._slot = {k: s for s, k in enumerate(self._keys)}
             # the bits of the keys' bytes, and 255 at each pivot's byte
@@ -134,9 +142,14 @@ class Echelon:
         """(pivot, row as a dict over the keys) for each row, in insertion order."""
         if self._slot is None:
             return self._rows.items()
+        # every row updated since its last fold is folded for good
+        rows, mod = self._rows, self._mod
+        for piv in self._stale:
+            rows[piv] = _fold(rows[piv], mod)
+        self._stale.clear()
         keys, n = self._keys, len(self._keys)
         out = []
-        for piv, row in self._rows.items():
+        for piv, row in rows.items():
             data = row.to_bytes((row.bit_length() + 7) >> 3, "little")
             out.append((piv, {keys[s]: data[s] for s in compress(range(n), data)}))
         return out
@@ -215,6 +228,7 @@ class Echelon:
             index = {key: i for i, key in enumerate(free)}
             return free, [(piv, {index[k]: neg(c) for k, c in row.items() if k != piv})
                           for piv, row in rows.items()]
+        # _NEG[p] maps every byte, so an unfolded row needs no fold here
         n, neg, slots = len(self._keys), self._neg, [self._slot[key] for key in free]
         # itemgetter of one slot gives a scalar, not a 1-tuple
         take = itemgetter(*slots) if len(slots) > 1 else lambda data: [data[s] for s in slots]
@@ -234,18 +248,23 @@ class Echelon:
             for k, c in vec.items():
                 buf[slot[k]] = c
             vec = int.from_bytes(buf, "little")
-        # the rows are 0 at each other's pivots, so vec's bytes there are the
-        # factors; each axpy adds at most (p-1)^2 to a byte: fold after
-        # ``delay`` of them
+        # the rows, once folded, are 0 at each other's pivots, so vec's
+        # bytes there are the factors; vec's bytes stay at most ``bound``
         hits = vec & self._pivots
         data = hits.to_bytes((hits.bit_length() + 7) >> 3, "little")
-        p, keys, delay, mod, pending = self._p, self._keys, self._delay, self._mod, 0
+        p, keys, mod, stale = self._p, self._keys, self._mod, self._stale
+        top = bound = p - 1
         for s in compress(range(len(data)), data):
-            vec += (p - data[s]) * rows[keys[s]]
-            pending += 1
-            if pending == delay:
-                vec, pending = _fold(vec, mod), 0
-        return _fold(vec, mod) if pending else vec
+            piv = keys[s]
+            if piv in stale:
+                del stale[piv]
+                rows[piv] = _fold(rows[piv], mod)
+            c = p - data[s]
+            bound += c * top
+            if bound > 255:
+                vec, bound = _fold(vec, mod), top + c * top
+            vec += c * rows[piv]
+        return _fold(vec, mod) if bound > top else vec
 
     def _insert(self, vec):
         """Add a reduced nonzero ``vec`` as a row, reducing the others by it."""
@@ -264,11 +283,18 @@ class Echelon:
         at = ((vec & -vec).bit_length() - 1) & ~7
         c = vec >> at & 255
         row = vec if c == 1 else _fold(vec * f.inv(c), self._mod)
-        p, mod = self._p, self._mod
+        p, mod, stale = self._p, self._mod, self._stale
+        top = p - 1
         for piv, other in rows.items():
-            c = other >> at & 255
+            # an unfolded row's byte is read mod p
+            c = mod[other >> at & 255]
             if c:
-                rows[piv] = _fold(other + (p - c) * row, mod)
+                c = p - c
+                bound = stale.get(piv, top) + c * top
+                if bound > 255:
+                    other, bound = _fold(other, mod), top + c * top
+                rows[piv] = other + c * row
+                stale[piv] = bound
         rows[self._keys[at >> 3]] = row
         self._pivots |= 255 << at
 
@@ -350,8 +376,7 @@ class PackedVectors:
 
     def __init__(self, field, nfmul, spans, basis):
         self.nfmul, self.spans, self.basis = nfmul, spans, basis
-        p = field.p
-        self._mod, self._delay = _MOD[p], _delay(p)
+        self._top, self._mod = field.p - 1, _MOD[field.p]
 
     def unit(self, span, pos):
         return 1 << (pos << 3)
@@ -370,7 +395,7 @@ class PackedVectors:
 
     def word_times(self, word, vec, n):
         span, v = vec
-        nfmul, spans, basis, mod, delay = self.nfmul, self.spans, self.basis, self._mod, self._delay
+        nfmul, spans, basis, top, mod = self.nfmul, self.spans, self.basis, self._top, self._mod
         for y in reversed(word):
             if not v:
                 break
@@ -384,14 +409,15 @@ class PackedVectors:
                 # one coefficient, 1: its form is the product
                 v = nf[ynb + span[at >> 3]]
             else:
+                # v's bytes stay at most ``bound`` (module docstring)
                 data = v.to_bytes((at >> 3) + 1, "little")
-                v = pending = 0
+                v = bound = 0
                 for j, c in zip(compress(span, data), compress(data, data)):
+                    bound += c * top
+                    if bound > 255:
+                        v, bound = _fold(v, mod), top + c * top
                     v += c * nf[ynb + j]
-                    pending += 1
-                    if pending == delay:
-                        v, pending = _fold(v, mod), 0
-                if pending:
+                if bound > top:
                     v = _fold(v, mod)
             span = spans[n][ynb + span[0]]
         return span, v
@@ -399,17 +425,16 @@ class PackedVectors:
     def lift(self, ech, terms, n, key=None):
         # word * vec lies in one grade block of degree n-1, whose keys
         # x * nb + j are consecutive slots of ech: one shift places it
-        slot, nb, mod, delay = ech._slot, len(self.basis[n - 1]), self._mod, self._delay
-        out = 0 if key is None else 1 << (slot[key] << 3)
-        pending = 0
+        slot, nb, top, mod = ech._slot, len(self.basis[n - 1]), self._top, self._mod
+        out, bound = (0, 0) if key is None else (1 << (slot[key] << 3), 1)
         for x, word, vec, c in terms:
             span, tail = self.word_times(word, vec, n - 1 - len(word))
             if tail:
+                bound += c * top
+                if bound > 255:
+                    out, bound = _fold(out, mod), top + c * top
                 out += c * tail << (slot[x * nb + span[0]] << 3)
-                pending += 1
-                if pending == delay:
-                    out, pending = _fold(out, mod), 0
-        return _fold(out, mod) if pending else out
+        return _fold(out, mod) if bound > top else out
 
 
 def echelon(field, rows):

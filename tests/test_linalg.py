@@ -1,5 +1,6 @@
 from fractions import Fraction
 from functools import reduce
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -313,3 +314,63 @@ def test_express_refuses_a_key_outside_the_keys(p):
     assert ech.express({0: 1, 2: 3}) is None
     with pytest.raises(KeyError):
         ech.express({1: 1, 3: 1})
+
+
+def _carry_case(p):
+    """Vectors whose inserts push one early row's bytes to the carry bound.
+
+    The first vector is 1 at the pivot of every later one, and each later one
+    is 1 at its pivot and p-1 on three tail keys: each insert updates the
+    first row by factor p-1, adding (p-1)^2 to its tail bytes.  There are two
+    more inserts than a byte holding p-1 can take, (255 - (p-1)) // (p-1)^2,
+    so the bytes reach the bound, and nothing reads a row in between.  Then a
+    tail unit, whose pivot is such a byte; the sum of the vectors before
+    it, which reads every row; and another tail unit, which leaves rows
+    unfolded for the reads that follow.
+    """
+    m = (255 - (p - 1)) // (p - 1) ** 2 + 2
+    tail = [m + 1, m + 2, m + 3]
+    first = {0: 1, **{i: 1 for i in range(1, m + 1)}, **{t: p - 1 for t in tail}}
+    later = [{i: 1, **{t: p - 1 for t in tail}} for i in range(1, m + 1)]
+    total = {}
+    for vec in [first] + later:
+        for k, c in vec.items():
+            total[k] = (total.get(k, 0) + c) % p
+    total = {k: c for k, c in total.items() if c}
+    return range(m + 4), [first] + later + [{tail[0]: 1}, total, {tail[1]: 1}]
+
+
+def _carry_run(p, fill):
+    """Whether the rows are packed, what ``fill`` returned per vector, the
+    rows by pivot over the keys and, if filled by add, the forms as dicts;
+    each read on its own echelon, so no read folds a row for another."""
+    keys, vecs = _carry_case(p)
+
+    def filled():
+        ech = Echelon(GF(p), keys)
+        return ech, [getattr(ech, fill)(vec) for vec in vecs]
+
+    ech, said = filled()
+    packed = ech._slot is not None
+    rows = {piv: {k: c for k, c in row.items() if k in keys} for piv, row in ech.items()}
+    forms = None
+    if fill == "add":
+        free, forms = filled()[0].forms(keys)
+        if packed:
+            forms = [(piv, {i: c for i, c in enumerate(form.to_bytes(len(free), "little")) if c})
+                     for piv, form in forms]
+        forms = (free, forms)
+    return packed, said, rows, forms
+
+
+@pytest.mark.parametrize("fill", ["add", "express"])
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13])
+def test_packed_rows_that_reach_the_carry_bound_equal_dict_rows(p, fill):
+    packed = _carry_run(p, fill)
+    with mock.patch.object(linalg, "PACKED_PRIME_MAX", 0):
+        plain = _carry_run(p, fill)
+    assert (packed[0], plain[0]) == (True, False)
+    assert packed[1:] == plain[1:]
+    if fill == "express":
+        # the sum is 1 times each kept vector before the first tail unit
+        assert packed[1][-2] == {i: 1 for i in range(len(packed[1]) - 3)}

@@ -16,7 +16,7 @@ from braidrack.nichols import NicholsEngine
 from braidrack.presentations import Presentation, QuotientEngine
 from braidrack.racks import preset, trivial_rack
 
-_PRIMES = [3, 5, 7, 13]
+_PRIMES = [2, 3, 5, 7, 11, 13]
 
 
 def _interleaved():
