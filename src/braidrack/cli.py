@@ -18,7 +18,7 @@ from . import classify, hilbert, nichols, percolate, presentations, verify
 from .braiding import BraidedSpace, cocycle_preset, constant_cocycle, table_cocycle
 from .fields import QQ, parse_field
 from .hurwitz import census, orbit
-from .racks import Rack, identify, inner_group_order, invariants, is_isomorphic, preset, preset_names
+from .racks import Rack, identify, inner_group_order, invariants, isomorphism, preset, preset_names
 
 EXIT_OK = 0
 EXIT_MISMATCH = 1
@@ -108,7 +108,7 @@ def cmd_rack_info(args):
 
 def cmd_rack_iso(args):
     r1, r2 = _load_rack(args.rack1), _load_rack(args.rack2)
-    wit = is_isomorphic(r1, r2, witness=True)
+    wit = isomorphism(r1, r2)
     payload = {
         "isomorphic": wit is not None,
         "witness": [v + 1 for v in wit] if wit else None,

@@ -19,10 +19,9 @@ a row updated by an insert stays unfolded until it is read.  That is delayed
 modular reduction over word-packed vectors, as in FFLAS-FFPACK (Dumas,
 Giorgi and Pernet, ACM TOMS 35(3), 2008).  Every other field keeps sparse
 dicts and its own ``Field.axpy``.  :func:`vectors` gives an engine its
-store, and an :class:`Echelon` handed its key universe packs by the same
-rule; one with no key universe (the small matrices of ``rank`` and
-``kernel_basis``) keeps dict rows.  Both pivot on a row's least key, so
-they give the same rows.
+store, and every :class:`Echelon`, handed its key universe, packs its rows
+by the same rule.  Both stores pivot on a row's least key, so they give the
+same rows.
 
 A packed vector's bytes stand for the basis indices of a *span*, one grade
 block's basis words of one degree, so an engine's vector is a pair
@@ -85,14 +84,15 @@ class SparseMatrix:
 class Echelon:
     """Rows in reduced echelon form over a field.
 
-    ``keys``, if given, holds every key a vector may have, and lets a small
-    prime field pack the rows (module docstring).  Each row is 1 at its
-    pivot, which is its least key, and 0 at every other row's pivot.
-    Because the rows stay fully reduced, subtracting one multiple of each
-    row whose pivot a vector holds clears every pivot of it.  With least-key pivots
-    the rows depend only on their span, so either store gives the same
-    rows; ``QuotientEngine`` relies on that (its retirement argument), and
-    it is why a packed row's byte order must be key order.
+    ``keys`` holds every key a vector may have, and a vector's entries are
+    field elements; the field alone picks packed or dict rows (module
+    docstring).  Each row is 1 at its pivot, which is its least key, and 0
+    at every other row's pivot.  Because the rows stay fully reduced,
+    subtracting one multiple of each row whose pivot a vector holds clears
+    every pivot of it.  With least-key pivots the rows depend only on their
+    span, so either store gives the same rows; ``QuotientEngine`` relies on
+    that (its retirement argument), and it is why a packed row's byte order
+    must be key order.
 
     Packed rows are read fully reduced mod p.  An insert updates the other
     rows without folding them, and keeps each updated row's byte bound
@@ -108,14 +108,14 @@ class Echelon:
     filled either by ``add`` or by ``express``.  ``express`` numbers the
     vectors it keeps 0, 1, ...; each row carries, past every key, its
     coefficients on them, which the row operations carry along and never
-    pivot on; it needs the keys.  ``NicholsEngine`` reads a dependent
-    vector's coordinates there.
+    pivot on.  ``NicholsEngine`` reads a dependent vector's coordinates
+    there.
     """
 
-    def __init__(self, field, keys=None):
+    def __init__(self, field, keys):
         self.field = field
         self._rows = {}
-        if keys is not None and _packs(field):
+        if _packs(field):
             p = self._p = field.p
             self._mod, self._neg = _MOD[p], _NEG[p]
             # pivot -> byte bound of each row updated since its last fold
@@ -129,7 +129,7 @@ class Echelon:
         else:
             self._slot = None
             # express's coefficient on kept vector i is at key top + i
-            self._top = None if keys is None else max(keys, default=-1) + 1
+            self._top = max(keys, default=-1) + 1
 
     def __len__(self):
         return len(self._rows)
@@ -176,23 +176,19 @@ class Echelon:
                 return form
             data = form.to_bytes(i, "little")
             return {j: data[j] for j in compress(range(i), data)}
-        top, rows, f = self._top, self._rows, self.field
+        top, f = self._top, self.field
         if max(vec, default=-1) >= top:
             # a key past the keys would be read as a coefficient; a packed
             # echelon raises the same KeyError from its slot map
             raise KeyError(max(vec))
-        # _reduce's dict loop, inline: the QQ Nichols engine calls this once
-        # per candidate
-        rest, neg, axpy = dict(vec), f.neg, f.axpy
-        for key in [k for k in rest if k in rows]:
-            axpy(rest, rows[key], neg(rest[key]))
+        rest = self._reduce(vec)
         if min(rest, default=top) < top:
             # set after reduce; set before, it would precede the keys
             # reduce adds, which reorders (but does not change) the rows
-            rest[top + len(rows)] = f.one
+            rest[top + len(self._rows)] = f.one
             self._insert(rest)
             return None
-        return {k - top: neg(c) for k, c in rest.items()}
+        return {k - top: f.neg(c) for k, c in rest.items()}
 
     def split(self, vec, nb):
         """A vector cut by letter, key = x * nb + j: {x: its part over the j},
@@ -437,9 +433,10 @@ class PackedVectors:
         return _fold(out, mod) if bound > top else out
 
 
-def echelon(field, rows):
-    """The :class:`Echelon` spanned by sparse ``rows`` (left unchanged)."""
-    ech = Echelon(field)
+def echelon(field, rows, ncols):
+    """The :class:`Echelon` spanned by sparse ``rows`` (left unchanged) over
+    columns 0 .. ncols-1."""
+    ech = Echelon(field, range(ncols))
     for row in rows:
         ech.add(row)
     return ech
@@ -453,19 +450,19 @@ def row_reduce(field, rows, ncols):
     into ``reduced``, ordered by column, and every reduced row is 1 at its
     pivot and 0 at every other pivot column.
     """
-    reduced = dict(echelon(field, rows).items())
+    reduced = dict(echelon(field, rows, ncols).items())
     cols = sorted(reduced)
     return list(enumerate(cols)), [reduced[c] for c in cols]
 
 
 def rank(field, mat):
     """Exact rank: the number of rows of the echelon form."""
-    return len(echelon(field, mat.rows))
+    return len(echelon(field, mat.rows, mat.ncols))
 
 
 def kernel_basis(field, mat):
     """Basis of the right kernel: vectors v (dicts col -> scalar) with Mv = 0."""
-    ech = echelon(field, mat.rows)
+    ech = echelon(field, mat.rows, mat.ncols)
     basis = {free: {free: field.one} for free in range(mat.ncols) if free not in ech}
     for c, row in ech.items():
         for free, coef in row.items():

@@ -181,8 +181,15 @@ def minimal_plague(o):
 _FILED = {}
 
 
+def _file(o, res):
+    """File o's search result under o's BFS code from every root."""
+    for root_code, root_order in rooted_codes(o):
+        _FILED.setdefault(root_code, (o, root_order, res))
+    return res
+
+
 def orbit_plague(o):
-    """The one route from a 3-orbit to its PlagueResult.
+    """A 3-orbit's PlagueResult, with each orbit class searched once.
 
     A searched orbit is filed under its BFS code from every root, so a
     lookup needs o's code from root 0 only: an isomorphism carries root 0 to
@@ -196,10 +203,7 @@ def orbit_plague(o):
     if hit is None:
         if o.size > BOUND_ORBIT_CAP:
             return None
-        res = minimal_plague(o)
-        for root_code, root_order in rooted_codes(o):
-            _FILED.setdefault(root_code, (o, root_order, res))
-        return res
+        return _file(o, minimal_plague(o))
     first, first_order, res = hit
     phi = order_isomorphism(first, first_order, o, order)
     witness = tuple(sorted(phi[i] for i in res.witness))
@@ -209,14 +213,17 @@ def orbit_plague(o):
 
 
 def immunity_table(r):
-    """Map orbit size -> PlagueResult over all 3-orbits of a rack, each
-    through ``orbit_plague``.
+    """Map orbit size -> PlagueResult over all 3-orbits of a rack.
 
-    Orbits of equal size need not be isomorphic (the non-braided Aff(5,2)
-    has 24-orbits of another class than the reference one): the table keeps
-    the first one's result, and a different minimal plague size on another
-    raises ImmunityMismatch.  A rack with an orbit above ``BOUND_ORBIT_CAP``
-    raises OrbitTooLarge, naming the largest, before any search.
+    The table keeps the result of the first orbit of each size, searched
+    with ``minimal_plague`` and filed, so its witness is that orbit's
+    lexicographically least plague whatever the process searched before.
+    Every other orbit goes through ``orbit_plague``: orbits of equal size
+    need not be isomorphic (the non-braided Aff(5,2) has 24-orbits of
+    another class than the reference one), and a different minimal plague
+    size raises ImmunityMismatch.  A rack with an orbit above
+    ``BOUND_ORBIT_CAP`` raises OrbitTooLarge, naming the largest, before any
+    search.
     """
     orbs = orbits(r, 3)
     big = max(o.size for o in orbs)
@@ -225,15 +232,13 @@ def immunity_table(r):
         raise OrbitTooLarge(msg % (big, BOUND_ORBIT_CAP))
     table = {}
     for o in orbs:
-        res = orbit_plague(o)
         prev = table.get(o.size)
-        if prev is not None and prev.min_size != res.min_size:
-            raise ImmunityMismatch(
-                "orbits of size %d disagree: plagues of %d and %d"
-                % (o.size, prev.min_size, res.min_size)
-            )
         if prev is None:
-            table[o.size] = res
+            table[o.size] = _file(o, minimal_plague(o))
+        elif prev.min_size != (k := orbit_plague(o).min_size):
+            raise ImmunityMismatch(
+                "orbits of size %d disagree: plagues of %d and %d" % (o.size, prev.min_size, k)
+            )
     return table
 
 

@@ -435,19 +435,14 @@ def identify(r, names):
     return next((nm for nm in names if is_isomorphic(r, preset(nm))), None)
 
 
-def is_isomorphic(r1, r2, witness=False):
-    """Rack isomorphism by backtracking with per-element profile pruning.
-
-    With witness=True returns the bijection (tuple f with f[x] in r2) or
-    None; otherwise a bool.
-    """
-    found = _find_isomorphism(r1, r2)
-    if witness:
-        return found
-    return found is not None
+def is_isomorphic(r1, r2):
+    """Whether r1 and r2 are isomorphic racks."""
+    return isomorphism(r1, r2) is not None
 
 
-def _find_isomorphism(r1, r2):
+def isomorphism(r1, r2):
+    """A rack isomorphism r1 -> r2 as a tuple f with f[x] in r2, or None;
+    backtracking with per-element profile pruning."""
     if r1.size != r2.size:
         return None
     p1, p2 = _element_profile(r1), _element_profile(r2)

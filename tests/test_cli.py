@@ -4,7 +4,7 @@ import time
 
 import pytest
 
-from braidrack import hilbert, percolate
+from braidrack import hilbert, verify
 from braidrack.cli import main
 
 
@@ -200,10 +200,7 @@ GOLDEN_DIGESTS = {
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN_DIGESTS))
-def test_immunity_and_cubic_output_is_pinned(capsys, monkeypatch, name):
-    # a fresh process has no orbit class filed; a filed class would give a
-    # mapped witness instead of the orbit's lexicographically least one
-    monkeypatch.setattr(percolate, "_FILED", {})
+def test_immunity_and_cubic_output_is_pinned(capsys, name):
     outs = [
         run(capsys, "--format", "json", "immunity", name),
         run(capsys, "nichols", "cubic", name, "--max-degree", "3"),
@@ -211,6 +208,23 @@ def test_immunity_and_cubic_output_is_pinned(capsys, monkeypatch, name):
     assert [code for code, _ in outs] == [0, 0]
     digests = tuple(hashlib.sha256(out.encode()).hexdigest() for _, out in outs)
     assert digests == GOLDEN_DIGESTS[name]
+
+
+# sha256 of stdout of `--format json immunity R` in a fresh process
+FRESH_IMMUNITY_DIGESTS = {
+    "A": "30bb1b504113ace635f5556bb06e96af8939e97f5387fbbbdd7c0f1c1df9a016",
+    "C": "15b2294974cc93dc18df4e798c8d18214b85c8230279dfda2e8f26ff4a2528be",
+}
+
+
+@pytest.mark.parametrize("name", sorted(FRESH_IMMUNITY_DIGESTS))
+def test_immunity_witnesses_do_not_depend_on_earlier_searches(capsys, name):
+    # the reference orbits, once filed, are isomorphic to orbits of A and C:
+    # their mapped witnesses need not be these orbits' lexicographically least
+    verify.check_immunity(verify.Report(profile="quick"))
+    code, out = run(capsys, "--format", "json", "immunity", name)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == FRESH_IMMUNITY_DIGESTS[name]
 
 
 def test_immunity_on_an_orbit_above_the_search_cap_is_an_error(capsys):
@@ -375,7 +389,7 @@ def test_classify_isomorphism_fault_is_an_error(capsys, monkeypatch):
     # a fault in the preset lookup must not read as "isomorphic to nothing"
     from braidrack import racks
 
-    def broken(r1, r2, witness=False):
+    def broken(r1, r2):
         raise RuntimeError("broken isomorphism test")
 
     monkeypatch.setattr(racks, "is_isomorphic", broken)
@@ -402,8 +416,6 @@ def test_corrupted_rack_file_is_an_error(tmp_path, capsys):
 
 
 def test_verify_paper_runs_serially_by_default(capsys, monkeypatch):
-    from braidrack import verify
-
     seen = []
 
     def fake_verify_paper(*args, **kwargs):
@@ -418,8 +430,6 @@ def test_verify_paper_runs_serially_by_default(capsys, monkeypatch):
 
 
 def test_verify_paper_exits_2_on_a_section_error(capsys, monkeypatch):
-    from braidrack import verify
-
     def check_immunity(report):
         raise RuntimeError("boom")
 
@@ -435,8 +445,6 @@ def test_verify_paper_exits_2_on_a_section_error(capsys, monkeypatch):
 
 
 def test_verify_paper_exits_1_on_a_mismatch(capsys, monkeypatch):
-    from braidrack import verify
-
     def wrong(report):
         report.add("P0", "wrong", "closed-form", 1, 2)
 

@@ -268,6 +268,11 @@ def test_prime_field_elimination_matches_dense_mod_p(case):
     m = SparseMatrix.from_dense(f, rows)
     pivots, ref = _dense_rref_mod_p(rows, ncols, p)
     assert rank(f, m) == len(pivots)
+    # packed rows for p <= 13, dict rows above
+    assert row_reduce(f, m.rows, ncols) == (
+        list(enumerate(pivots)),
+        [{j: v for j, v in enumerate(r) if v} for r in ref],
+    )
     # the kernel vector of free column j is e_j - sum_r ref[r][j] e_pivot(r)
     kernel = [
         {j: 1, **{c: -r[j] % p for c, r in zip(pivots, ref) if r[j]}}

@@ -214,17 +214,15 @@ def test_import_leaves_the_process_runner_and_pickle_unloaded():
     assert out.stdout.strip() == "[]"
 
 
-def test_import_and_the_quick_profile_build_no_packed_rows():
-    # quick runs over QQ, and its prime-field kernels are small matrices
-    # with dict rows: no mod-p table is built, so no echelon packs a row
+def test_import_builds_no_packed_rows():
+    # the mod-p tables are built by the first packed store over p, not at import
     src = str(Path(__file__).resolve().parents[1] / "src")
-    code = ("import braidrack; from braidrack import linalg; print(sorted(linalg._MOD)); "
-            "assert braidrack.verify_paper('quick').ok(); print(sorted(linalg._MOD))")
+    code = "import braidrack; from braidrack import linalg; print(sorted(linalg._MOD))"
     out = subprocess.run(
         [sys.executable, "-c", code],
         env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, check=True,
     )
-    assert out.stdout.split() == ["[]", "[]"]
+    assert out.stdout.split() == ["[]"]
 
 
 def test_the_quick_profile_never_forks():

@@ -198,6 +198,9 @@ def test_immunity_table_raises_when_equal_sizes_disagree(monkeypatch):
         k = seen[o.size]
         return PlagueResult(k, tuple(range(k)), Fraction(k, o.size))
 
+    # the first orbit of a size is searched and filed, the others looked up
+    monkeypatch.setattr(percolate, "_FILED", {})
+    monkeypatch.setattr(percolate, "minimal_plague", disagreeing)
     monkeypatch.setattr(percolate, "orbit_plague", disagreeing)
     with pytest.raises(ImmunityMismatch):
         immunity_table(preset("T"))
