@@ -71,15 +71,6 @@ class SparseMatrix:
         self.ncols = ncols
         self.rows = [dict() for _ in range(nrows)]
 
-    @classmethod
-    def from_dense(cls, field, rows):
-        m = cls(len(rows), len(rows[0]) if rows else 0)
-        for i, row in enumerate(rows):
-            for j, v in enumerate(row):
-                if not field.is_zero(v):
-                    m.rows[i][j] = v
-        return m
-
 
 class Echelon:
     """Rows in reduced echelon form over a field.
@@ -108,8 +99,8 @@ class Echelon:
     filled either by ``add`` or by ``express``.  ``express`` numbers the
     vectors it keeps 0, 1, ...; each row carries, past every key, its
     coefficients on them, which the row operations carry along and never
-    pivot on.  ``NicholsEngine`` reads a dependent vector's coordinates
-    there.
+    pivot on, and which ``items`` leaves out.  ``NicholsEngine`` reads a
+    dependent vector's coordinates there.
     """
 
     def __init__(self, field, keys):
@@ -141,7 +132,9 @@ class Echelon:
     def items(self):
         """(pivot, row as a dict over the keys) for each row, in insertion order."""
         if self._slot is None:
-            return self._rows.items()
+            # express keeps its coefficients past the keys: no row entries
+            top = self._top
+            return [(piv, {k: c for k, c in row.items() if k < top}) for piv, row in self._rows.items()]
         # every row updated since its last fold is folded for good
         rows, mod = self._rows, self._mod
         for piv in self._stale:

@@ -203,7 +203,10 @@ class _Grading:
 class GradedEngine:
     """Degree-by-degree basis of a graded quotient of the tensor algebra.
 
-    Degree n is represented by a list of basis words, each of the form
+    Degree 0, the empty word with the unit grade, is the one seed; degree 1
+    and every later degree are built in grade blocks, as below, and a
+    subclass builds degree 1 before its constructor returns.  Degree n is
+    represented by a list of basis words, each of the form
     letter + lower-degree basis word, together with:
 
     * grades[n][i]: the monomial-matrix grade of basis[n][i];
@@ -223,7 +226,8 @@ class GradedEngine:
     (new, forms, extra): the keys that become basis words, in order, each
     other candidate's class by position in new, and what else the subclass
     keeps; ``_merge_block`` appends them to degree n, so a block's words are
-    consecutive in basis[n].  NicholsEngine's vectors are the candidates'
+    consecutive in basis[n] at every degree, the letters of one grade in
+    basis[1] too.  NicholsEngine's vectors are the candidates'
     derivations; QuotientEngine's are the placements r * b, whose grade
     grade(r) * grade(b) is known before they are placed.
 
@@ -234,27 +238,18 @@ class GradedEngine:
     A block reads only lower degrees and ctx, never another block's output,
     so the blocks of a degree may run in separate processes
     (:mod:`braidrack.parallel`).  ``seconds[n]`` is the wall time of degree
-    n and ``parts[n]`` the number of processes its blocks ran in.
+    n and ``parts[n]`` the number of processes its blocks ran in, for every
+    n >= 1.
     """
 
     def __init__(self, b):
         self.b = b
         self.f = b.field
         self.grading = _Grading(b)
-        d = b.dim
-        self.basis = {0: [()], 1: [(x,) for x in range(d)]}
-        self.grades = {
-            0: [self.grading.unit],
-            1: [self.grading.of_word((x,)) for x in range(d)],
-        }
-        # degree 1's grade blocks: the letters of each grade, in order
-        letters = {}
-        for x, grade in enumerate(self.grades[1]):
-            letters.setdefault(grade, []).append(x)
-        self.spans = {1: [letters[grade] for grade in self.grades[1]]}
-        self.nfmul = {}
+        # degree 0 is the empty word; every later degree is built in blocks
+        self.basis, self.grades = {0: [()]}, {0: [self.grading.unit]}
+        self.nfmul, self.spans = {}, {}
         self.vs = vectors(self.f, self.nfmul, self.spans, self.basis)
-        self.nfmul[1] = [self.vs.unit(span, span.index(x)) for x, span in enumerate(self.spans[1])]
         self.seconds = {}
         self.parts = {}
 
@@ -355,16 +350,18 @@ class NicholsEngine(GradedEngine):
     Besides the basis and nfmul of :class:`GradedEngine` it keeps, for its
     top degree n only, dmat[i] = {x: d_x(basis[n][i])}, each derivation a
     vector of degree n-1 and only the nonzero ones kept (``derivations``
-    reads them as dicts).  A candidate is eliminated when its derivations
-    depend on those of the candidates before it in its block: u lies in
-    ker S_n exactly when every d_x(u) lies in ker S_{n-1}.
+    reads them as dicts).  The empty word has none, so the seed is
+    dmat = [{}], and degree 1's derivations d_x(y) = delta_{x,y} come from
+    the blocks like every other degree's.  A candidate is eliminated when
+    its derivations depend on those of the candidates before it in its
+    block: u lies in ker S_n exactly when every d_x(u) lies in ker S_{n-1}.
     """
 
     def __init__(self, b):
         super().__init__(b)
-        # d_x(y) is 1 when x = y and 0 otherwise
-        one = self.vs.vector([0], self.vs.unit([0], 0))
-        self.dmat = [{x: one} for x in range(b.dim)]
+        # the empty word has no derivations
+        self.dmat = [{}]
+        self.extend(1)
 
     def derivations(self, i):
         """{x: d_x(basis[n][i])} at the top degree n, each a dict over basis[n-1] indices."""

@@ -92,6 +92,7 @@ class QuotientEngine(GradedEngine):
         if low < 2:
             raise NotHomogeneous("degree-%d relations are not supported" % low)
         self.retired = {}
+        self.extend(1)
 
     def _build_degree(self, n):
         blocks = self._grade_blocks(n)

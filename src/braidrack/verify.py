@@ -387,7 +387,9 @@ def check_truncations(report):
 # ---------------------------------------------------------------------------
 # P5 / P7 full certificates
 
-def check_new_example(report, name, series_key, total, top, chain_expectation):
+def check_new_example(report, name, series_key, total, top, cross_deg, chain_expectation):
+    """The certificate of integral preset ``name``: its quotient's series to
+    top + 2, and the Nichols engine's dims to ``cross_deg`` against it."""
     space, rels, integral, chain = presentations.integral_preset(name)
     K = space.field
     p = presentations.Presentation(space, rels)
@@ -403,7 +405,6 @@ def check_new_example(report, name, series_key, total, top, chain_expectation):
         name, "top-degree", "reference-table", top,
         max(i for i, v in enumerate(qd) if v),
     )
-    cross_deg = 8 if name == "d3char2" else 6
     dims = eng.dims(cross_deg)
     report.add(
         name, "symmetrizer-ranks<=%d" % cross_deg, "reference-table",
@@ -564,8 +565,8 @@ def verify_paper(profile="quick", threads=None):
     ):
         report.run(check)
     if profile == "full":
-        report.run(check_new_example, "d3char2", "D3-char2", 432, 20, "nonzero")
-        report.run(check_new_example, "t-new", "T-new", 5184, 24, "t+1")
+        report.run(check_new_example, "d3char2", "D3-char2", 432, 20, 8, "nonzero")
+        report.run(check_new_example, "t-new", "T-new", 5184, 24, 6, "t+1")
         report.run(check_t_series)
         report.run(check_structural)
     return report

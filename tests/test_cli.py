@@ -20,6 +20,15 @@ def test_preset_list(capsys):
     assert "D3" in out and "Aff(9,2)" in out
 
 
+def test_relation_term_off_its_stated_degree_is_an_error(tmp_path, capsys):
+    f = tmp_path / "rels.json"
+    f.write_text(json.dumps([{"degree": 2, "terms": [{"word": "ab", "coeff": "1"}, {"word": "abc", "coeff": "1"}]}]))
+    code = main(["nichols", "quotient", "--cocycle", "d3char2", "--relations", str(f)])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert "term 'abc' does not match the stated degree" in captured.err
+
+
 @pytest.mark.parametrize("argv", [
     ["rack", "info", "nosuch"], ["nichols", "dims", "nosuch"], ["hurwitz", "census", "nosuch"],
 ])

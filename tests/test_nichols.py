@@ -27,6 +27,7 @@ from braidrack.linalg import kernel_dim
 from braidrack.nichols import (
     NicholsEngine,
     NotBlockDiagonal,
+    NotHomogeneous,
     apply_x,
     check_conditions,
     closed_form_kernel_1orbit,
@@ -150,8 +151,9 @@ class _FailInChild(NicholsEngine):
     process that built the engine."""
 
     def __init__(self, b, how):
-        super().__init__(b)
+        # set first: the constructor builds degree 1 in blocks
         self.how, self.home = how, os.getpid()
+        super().__init__(b)
 
     def _reduce_block(self, n, grade, cands, prev_d):
         if os.getpid() != self.home:
@@ -162,14 +164,13 @@ class _FailInChild(NicholsEngine):
 
 
 @pytest.mark.parametrize("how, message", [
-    ("raise", "ArithmeticError: block of degree 2 broke"),
+    ("raise", "ArithmeticError: block of degree 1 broke"),
     ("kill", "was killed by signal %d" % signal.SIGKILL),
 ])
 def test_a_failed_block_process_is_a_named_fault(how, message, blocks_in_parts):
     blocks_in_parts(2)
-    eng = _FailInChild(minus1("T"), how)
     with pytest.raises(BlockProcessError) as info:
-        eng.dims(3)
+        _FailInChild(minus1("T"), how).dims(3)
     assert message in str(info.value)
     if how == "raise":
         # the child's traceback, with the line that raised
@@ -275,6 +276,13 @@ def test_stored_derivations_are_the_free_word_derivations(space, up_to):
         for i, w in enumerate(eng.basis[n]):
             for x in range(b.dim):
                 assert eng.derivations(i).get(x, {}) == eng.nf_vector(derive(b, x, {w: one}), n - 1)
+
+
+def test_a_vector_of_mixed_degrees_has_no_normal_form():
+    b = minus1("D3")
+    one = b.field.one
+    with pytest.raises(NotHomogeneous, match="vector mixes degrees"):
+        NicholsEngine(b).nf_vector({(0, 1): one, (0,): one}, 2)
 
 
 @pytest.mark.parametrize("space", [

@@ -425,7 +425,7 @@ def test_every_placement_has_the_grade_of_its_block_in_forked_parts(parts, block
 
 def test_degree_times_and_parts_are_recorded():
     eng = _t_new_f7_quotient(12)
-    assert sorted(eng.seconds) == sorted(eng.parts) == list(range(2, 13))
+    assert sorted(eng.seconds) == sorted(eng.parts) == list(range(1, 13))
     assert all(s > 0 for s in eng.seconds.values())
     for n, parts in eng.parts.items():
         # a degree forks only after a degree that took the threshold

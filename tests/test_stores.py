@@ -107,9 +107,11 @@ def test_the_quotient_engine_keeps_the_same_data_in_either_store(case, data):
 
 
 def test_a_degree_one_grade_may_hold_letters_that_are_not_adjacent():
+    # letters 0 and 2 share a grade: their block's words are consecutive
     space = _interleaved()
-    grades = NicholsEngine(space).grades[1]
-    assert grades[0] == grades[2] != grades[1]
+    eng = NicholsEngine(space)
+    assert eng.basis[1] == [(0,), (2,), (1,)]
+    assert eng.grades[1][0] == eng.grades[1][1] != eng.grades[1][2]
     packed, plain = _both_stores(lambda: _nichols(space, 5))
     assert packed[1] == [1, 3, 5, 8, 13, 21]
     assert packed[1:] == plain[1:]

@@ -14,7 +14,7 @@ from braidrack.percolate import PlagueResult
 def test_entry_times_sum_to_at_most_the_section_wall_time():
     t0 = time.perf_counter()
     rep = verify.Report(profile="full")
-    verify.check_new_example(rep, "d3char2", "D3-char2", 432, 20, "nonzero")
+    verify.check_new_example(rep, "d3char2", "D3-char2", 432, 20, 8, "nonzero")
     wall_ms = (time.perf_counter() - t0) * 1000
     assert rep.ok()
     assert sum(e.runtime_ms for e in rep.entries) <= wall_ms
