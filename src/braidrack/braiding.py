@@ -39,13 +39,12 @@ class Cocycle:
 
     __slots__ = ("rack", "field", "q", "name")
 
-    def __init__(self, rack, field, q, name=None, _validated=False):
+    def __init__(self, rack, field, q, name=None):
         self.rack = rack
         self.field = field
         self.q = tuple(tuple(row) for row in q)
         self.name = name
-        if not _validated:
-            self._validate()
+        self._validate()
 
     def _validate(self):
         f, r, q = self.field, self.rack, self.q
@@ -121,12 +120,10 @@ class BraidedSpace:
 
 
 def constant_cocycle(r, field, q, name=None):
-    """q[x][y] = q for all x, y; the condition holds automatically."""
-    if field.is_zero(q):
-        raise ZeroScalar("constant cocycle value must be nonzero")
+    """q[x][y] = q for all x, y; the condition holds for every nonzero q."""
     d = r.size
     table = [[q] * d for _ in range(d)]
-    return Cocycle(r, field, table, name=name or "constant", _validated=True)
+    return Cocycle(r, field, table, name=name or "constant")
 
 
 def table_cocycle(r, field, entries, name=None):
@@ -217,7 +214,7 @@ def coboundary_twist(c, fvals):
         ]
         for x in range(d)
     ]
-    return Cocycle(r, f, q, name=(c.name or "cocycle") + "+twist", _validated=True)
+    return Cocycle(r, f, q, name=(c.name or "cocycle") + "+twist")
 
 
 # ---------------------------------------------------------------------------
@@ -325,4 +322,4 @@ def _class_model(rack_name, g, rho, field, name):
         raise CocycleError(
             "%s: the group model's rack differs from the preset %s" % (name, rack_name)
         )
-    return BraidedSpace(Cocycle(rack, field, c.q, name=name, _validated=True))
+    return BraidedSpace(Cocycle(rack, field, c.q, name=name))

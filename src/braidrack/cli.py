@@ -9,6 +9,7 @@ surface.
 from __future__ import annotations
 
 import argparse
+import csv
 import json
 import os
 import sys
@@ -65,10 +66,10 @@ def _emit(payload, fmt, table_rows=None, header=None):
         return
     rows = _payload_rows(payload) if table_rows is None else table_rows
     if fmt == "csv":
+        out = csv.writer(sys.stdout, lineterminator="\n")
         if header:
-            print(",".join(str(h) for h in header))
-        for row in rows:
-            print(",".join(str(c) for c in row))
+            out.writerow(header)
+        out.writerows(rows)
     else:
         widths = None
         if header:

@@ -209,7 +209,8 @@ class GradedEngine:
     represented by a list of basis words, each of the form
     letter + lower-degree basis word, together with:
 
-    * grades[n][i]: the monomial-matrix grade of basis[n][i];
+    * blocks[n]: the grade blocks that have basis words, in discovery
+      order, each (grade, span) with span its words' basis[n] indices;
     * nfmul[n][y * nb + j], nb = len(basis[n-1]): the class of the
       candidate y * basis[n-1][j] expanded in basis[n];
     * spans[n][y * nb + j]: the basis indices of that candidate's grade
@@ -218,25 +219,23 @@ class GradedEngine:
     That key is a candidate's one name, in nfmul and in every vector and
     echelon row.  The candidates of degree n are grouped by grade, which
     every elimination respects, and the grade block is the one unit in
-    which vectors are built and eliminated.  A subclass's ``_build_degree``
-    takes degree n's blocks of keys from ``_grade_blocks`` and hands them to
-    ``_run_blocks`` with ``ctx``, what its blocks read of degree n.  Each
-    block goes to the subclass's ``_reduce_block(n, grade, keys, ctx)``,
-    which builds the block's vectors, eliminates them and returns
-    (new, forms, extra): the keys that become basis words, in order, each
-    other candidate's class by position in new, and what else the subclass
-    keeps; ``_merge_block`` appends them to degree n, so a block's words are
-    consecutive in basis[n] at every degree, the letters of one grade in
-    basis[1] too.  NicholsEngine's vectors are the candidates'
-    derivations; QuotientEngine's are the placements r * b, whose grade
+    which vectors are built and eliminated.  ``_run_blocks(n)`` keys them
+    into blocks from blocks[n-1] and hands each to the subclass's
+    ``_reduce_block(n, grade, keys)``, which builds the block's vectors,
+    eliminates them and returns (new, forms, extra): the keys that become
+    basis words, in order, each other candidate's class by position in new,
+    and what else the subclass keeps; ``_merge_block`` appends them to
+    degree n, so a block's words are consecutive in basis[n] at every
+    degree.  NicholsEngine's vectors are the candidates' derivations;
+    QuotientEngine's are the placements r * b, whose grade
     grade(r) * grade(b) is known before they are placed.
 
     Every vector, form and echelon row is in the store that the field picks
     (``linalg.vectors``), and only ``self.vs`` and ``linalg.Echelon`` look
     inside one: ``form`` reads a class as a dict.
 
-    A block reads only lower degrees and ctx, never another block's output,
-    so the blocks of a degree may run in separate processes
+    A block reads only lower degrees, never another block's output, so the
+    blocks of a degree may run in separate processes
     (:mod:`braidrack.parallel`).  ``seconds[n]`` is the wall time of degree
     n and ``parts[n]`` the number of processes its blocks ran in, for every
     n >= 1.
@@ -247,7 +246,7 @@ class GradedEngine:
         self.f = b.field
         self.grading = _Grading(b)
         # degree 0 is the empty word; every later degree is built in blocks
-        self.basis, self.grades = {0: [()]}, {0: [self.grading.unit]}
+        self.basis, self.blocks = {0: [()]}, {0: [(self.grading.unit, [0])]}
         self.nfmul, self.spans = {}, {}
         self.vs = vectors(self.f, self.nfmul, self.spans, self.basis)
         self.seconds = {}
@@ -271,34 +270,34 @@ class GradedEngine:
         """The class of degree-n candidate ``key`` as a dict over basis[n] indices."""
         return self.vs.coords(self.vs.vector(self.spans[n][key], self.nfmul[n][key]))
 
-    def _grade_blocks(self, n):
-        """Start degree n; its (grade, candidate keys) blocks, in discovery order."""
-        blocks = {}
-        mul, mats = self.grading.mul, self.grading.mats
-        d, nb = self.b.dim, len(self.grades[n - 1])
-        for j, grade in enumerate(self.grades[n - 1]):
-            for y in range(d):
-                blocks.setdefault(mul(mats[y], grade), []).append(y * nb + j)
-        self.basis[n], self.grades[n] = [], []
-        self.nfmul[n], self.spans[n] = [None] * (d * nb), [None] * (d * nb)
-        return list(blocks.items())
-
-    def _run_blocks(self, n, blocks, ctx):
-        """Reduce and merge every block of degree n in discovery order; the extras.
+    def _run_blocks(self, n):
+        """Key degree n's candidates into grade blocks, j-major then y, and
+        reduce and merge the blocks in discovery order; the extras.
 
         When degree n-1 took ``_FORK_SECONDS`` or more, ``parallel.run_blocks``
         spreads the blocks over forked processes.  Wherever a block runs, it
         is reduced by the same ``_reduce_block`` and merged here by the same
         ``_merge_block``, so the degree does not depend on where it ran.
         """
+        by_grade = {}
+        mul, mats = self.grading.mul, self.grading.mats
+        d, nb = self.b.dim, len(self.basis[n - 1])
+        for grade, span in self.blocks[n - 1]:
+            targets = [by_grade.setdefault(mul(mat, grade), []) for mat in mats]
+            for j in span:
+                for y, block in enumerate(targets):
+                    block.append(y * nb + j)
+        blocks = list(by_grade.items())
+        self.basis[n], self.blocks[n] = [], []
+        self.nfmul[n], self.spans[n] = [None] * (d * nb), [None] * (d * nb)
         parts = self.parts[n] = self._part_count(n, len(blocks))
         if parts > 1:
             # imported by a degree that forks, so an in-process run neither
             # compiles the module nor loads the pickler
             from .parallel import run_blocks
 
-            return run_blocks(self, n, blocks, ctx, parts)
-        return [self._merge_block(n, grade, self._reduce_block(n, grade, keys, ctx))
+            return run_blocks(self, n, blocks, parts)
+        return [self._merge_block(n, grade, self._reduce_block(n, grade, keys))
                 for grade, keys in blocks]
 
     def _part_count(self, n, nblocks):
@@ -311,7 +310,7 @@ class GradedEngine:
         return max(1, min(_PARTS or len(os.sched_getaffinity(0)), nblocks))
 
     def _merge_block(self, n, grade, out):
-        """Append a block's basis words to degree n, set its forms; its extra.
+        """Append a block's words to degree n and blocks[n], set its forms; its extra.
 
         The block's words get the next indices, its span; a dict form is
         rebuilt on the span's ints, so nfmul's dicts share one int per
@@ -326,7 +325,8 @@ class GradedEngine:
             y, j = divmod(key, nb)
             words.append((y,) + prev[j])
             nf[key], spans[key] = vs.unit(span, pos), span
-        self.grades[n] += [grade] * len(new)
+        if new:  # an empty span would give the next degree a grade with no keys
+            self.blocks[n].append((grade, span))
         for key, form in forms:
             nf[key], spans[key] = vs.entry(span, form), span
         return extra
@@ -355,6 +355,7 @@ class NicholsEngine(GradedEngine):
     the blocks like every other degree's.  A candidate is eliminated when
     its derivations depend on those of the candidates before it in its
     block: u lies in ker S_n exactly when every d_x(u) lies in ker S_{n-1}.
+    Degree n's blocks read dmat before it is replaced by degree n's.
     """
 
     def __init__(self, b):
@@ -369,12 +370,12 @@ class NicholsEngine(GradedEngine):
 
     def _build_degree(self, n):
         # each block returns its words' derivations, in discovery order
-        parts = self._run_blocks(n, self._grade_blocks(n), self.dmat)
+        parts = self._run_blocks(n)
         self.dmat = [dx for part in parts for dx in part]
 
-    def _reduce_block(self, n, grade, cands, prev_d):
+    def _reduce_block(self, n, grade, cands):
         """Eliminate the block's derivations; its words, forms and dmat rows."""
-        q, t = self.b.cocycle.q, self.b.rack.table
+        q, t, prev_d = self.b.cocycle.q, self.b.rack.table, self.dmat
         nb, lift = len(self.basis[n - 1]), self.vs.lift
         new, forms, dm = [], [], []
         # d_x of a word of grade g has grade M_x^-1 g, so a derivation key

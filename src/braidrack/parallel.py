@@ -30,15 +30,15 @@ class BlockProcessError(RuntimeError):
     child's traceback, or the exit status it died with."""
 
 
-def run_blocks(engine, n, blocks, ctx, parts):
+def run_blocks(engine, n, blocks, parts):
     """Reduce and merge degree n's blocks in ``parts`` processes; the extras,
     in discovery order."""
     cut = runs([len(keys) for _, keys in blocks], parts)
     children = []
     try:
         for run in cut[1:]:
-            children.append(_Child(engine, n, blocks, ctx, run))
-        extras = [engine._merge_block(n, blocks[k][0], engine._reduce_block(n, *blocks[k], ctx))
+            children.append(_Child(engine, n, blocks, run))
+        extras = [engine._merge_block(n, blocks[k][0], engine._reduce_block(n, *blocks[k]))
                   for k in cut[0]]
         for child in children:
             extras += [engine._merge_block(n, blocks[k][0], child.receive()) for k in child.run]
@@ -70,7 +70,7 @@ class _Child:
     runs in it.
     """
 
-    def __init__(self, engine, n, blocks, ctx, run):
+    def __init__(self, engine, n, blocks, run):
         self.run = run
         r, w = os.pipe()
         try:
@@ -85,7 +85,7 @@ class _Child:
                 os.close(r)
                 with open(w, "wb") as out:
                     try:
-                        frames = [pickle.dumps((True, engine._reduce_block(n, *blocks[k], ctx)), -1)
+                        frames = [pickle.dumps((True, engine._reduce_block(n, *blocks[k])), -1)
                                   for k in run]
                     except BaseException:
                         import traceback

@@ -57,8 +57,9 @@ class QuotientEngine(GradedEngine):
 
     The eliminated space in degree n is spanned by pi(r * b) over relations
     r of degree g and basis words b of degree n - g, which equals the full
-    ideal component.  In each grade block the candidates at the pivots of
-    those vectors are eliminated and the others become basis words.
+    ideal component.  Each grade block selects its own placements
+    (``_placements``), eliminates the candidates at their pivots and keeps
+    the others as basis words.
 
     A relation is retired after the first degree m at which none of its
     placements became a row, and ``retired[i] = m`` records it for the
@@ -95,32 +96,31 @@ class QuotientEngine(GradedEngine):
         self.extend(1)
 
     def _build_degree(self, n):
-        blocks = self._grade_blocks(n)
-        # each grade's placements (relation index, tail basis index), in
-        # relation-list order: r * b has grade grade(r) * grade(b)
-        placements = {}
-        idle = set()
-        for i, g in enumerate(self._rel_grades):
-            tail_deg = n - self.rel_degrees[i]
-            if tail_deg < 0 or i in self.retired:
-                continue
-            idle.add(i)
-            for bidx, h in enumerate(self.grades[tail_deg]):
-                placements.setdefault(self.grading.mul(g, h), []).append((i, bidx))
-        for made_rows in self._run_blocks(n, blocks, placements):
+        idle = {i for i, deg in enumerate(self.rel_degrees) if deg <= n and i not in self.retired}
+        for made_rows in self._run_blocks(n):
             idle -= made_rows
         # a degree with no candidates places nothing, so it retires nothing
-        if blocks:
+        if self.blocks[n - 1]:
             for i in sorted(idle):
                 self.retired[i] = n
 
-    def _reduce_block(self, n, grade, cands, placements):
+    def _placements(self, n, grade):
+        """(relation index, tail basis index) of each r * b of degree n and
+        grade grade(r) * grade(b) = ``grade``, in relation-list order."""
+        for i, (g, deg) in enumerate(zip(self._rel_grades, self.rel_degrees)):
+            if deg <= n and i not in self.retired:
+                for h, span in self.blocks[n - deg]:
+                    if self.grading.mul(g, h) == grade:
+                        for bidx in span:
+                            yield i, bidx
+
+    def _reduce_block(self, n, grade, cands):
         """Place and eliminate the block's relations; its words, forms and
         the indices of the relations that made a row."""
         vs, relations = self.vs, self.p.relations
         ideal = Echelon(self.f, cands)
         made_rows = set()
-        for i, bidx in placements.get(grade, ()):
+        for i, bidx in self._placements(n, grade):
             # r * b: each term c w of r is w[0] * (w[1:] * b)
             tail = vs.vector([bidx], vs.unit([bidx], 0))
             if ideal.add(vs.lift(ideal, [(w[0], w[1:], tail, c) for w, c in relations[i].items()], n)):

@@ -65,7 +65,10 @@ def test_yang_baxter_fails_exactly_where_the_cocycle_condition_does():
     with pytest.raises(CocycleConditionFails) as ei:
         table_cocycle(d3, QQ, entries)
     assert ei.value.triple == (0, 1, 2)
-    assert Cocycle(d3, QQ, entries, _validated=True).check_yang_baxter() is False
+    # a valid cocycle given the failing table after its check
+    c = table_cocycle(d3, QQ, [[QQ.one] * 3 for _ in range(3)])
+    c.q = tuple(tuple(row) for row in entries)
+    assert c.check_yang_baxter() is False
 
 
 def test_preset_tables_are_cocycles():

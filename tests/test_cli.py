@@ -1,4 +1,6 @@
+import csv
 import hashlib
+import io
 import json
 import time
 
@@ -83,6 +85,14 @@ def test_census_formats(capsys):
     code, out = run(capsys, "--format", "csv", "hurwitz", "census", "D3")
     assert code == 0
     assert "1,3" in out and "8,3" in out
+
+
+def test_csv_cells_with_commas_read_back_whole(capsys):
+    code, out = run(capsys, "--format", "csv", "rack", "info", "D3")
+    assert code == 0
+    rows = list(csv.reader(io.StringIO(out)))
+    assert rows and all(len(row) == 2 for row in rows)
+    assert dict(rows)["components"] == "[[1, 2, 3]]"
 
 
 def test_orbit_export(capsys):

@@ -155,12 +155,12 @@ class _FailInChild(NicholsEngine):
         self.how, self.home = how, os.getpid()
         super().__init__(b)
 
-    def _reduce_block(self, n, grade, cands, prev_d):
+    def _reduce_block(self, n, grade, cands):
         if os.getpid() != self.home:
             if self.how == "raise":
                 raise ArithmeticError("block of degree %d broke" % n)
             os.kill(os.getpid(), signal.SIGKILL)
-        return super()._reduce_block(n, grade, cands, prev_d)
+        return super()._reduce_block(n, grade, cands)
 
 
 @pytest.mark.parametrize("how, message", [
@@ -183,10 +183,10 @@ def test_a_failed_block_process_is_a_named_fault(how, message, blocks_in_parts):
 
 def test_a_block_failing_in_the_parent_reaps_its_children(blocks_in_parts):
     class FailAtHome(NicholsEngine):
-        def _reduce_block(self, n, grade, cands, prev_d):
+        def _reduce_block(self, n, grade, cands):
             if os.getpid() == home:
                 raise ArithmeticError("broke at home")
-            return super()._reduce_block(n, grade, cands, prev_d)
+            return super()._reduce_block(n, grade, cands)
 
     home = os.getpid()
     blocks_in_parts(3)

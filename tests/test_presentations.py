@@ -282,33 +282,35 @@ def test_redundant_relations_are_retired():
 
 
 class _CheckBlockContract(_PlaceEveryRelation):
-    """Checks the grade of every placement handed to a grade block.
+    """Checks the grade of every placement a grade block makes.
 
-    A nonzero placement r * b handed to the block of grade g must have
-    every key among that block's candidates, and g = grade(r) * grade(b).
-    A block may run in a forked process, so it returns its count of checked
-    placements beside its extra, and the merge adds it up.
+    A nonzero placement r * b made in the block of grade g must have every
+    key among that block's candidates, and g = grade(r) * grade(b), each
+    grade read off the words themselves.  A block may run in a forked
+    process, so it returns its count of checked placements beside its
+    extra, and the merge adds it up.
     """
 
     checked = 0
 
-    def _reduce_block(self, n, grade, cands, placements):
-        nb = len(self.basis[n - 1])
-        mul, mats = self.grading.mul, self.grading.mats
-        checked = 0
-        for i, bidx in placements.get(grade, ()):
+    def _reduce_block(self, n, grade, cands):
+        self.block_keys, self.block_checked = set(cands), 0
+        new, forms, made_rows = super()._reduce_block(n, grade, cands)
+        return new, forms, (made_rows, self.block_checked)
+
+    def _placements(self, n, grade):
+        nb, of_word = len(self.basis[n - 1]), self.grading.of_word
+        for i, bidx in super()._placements(n, grade):
             r = self.p.relations[i]
-            tail_deg = n - self.rel_degrees[i]
             vec = _placement(self, r, bidx, n)
             if vec:
-                assert set(vec) <= set(cands)
-                key = next(iter(vec))
-                y, j = divmod(key, nb)
-                assert mul(mats[y], self.grades[n - 1][j]) == grade
-                assert mul(self.grading.of_word(next(iter(r))), self.grades[tail_deg][bidx]) == grade
-                checked += 1
-        new, forms, made_rows = super()._reduce_block(n, grade, cands, placements)
-        return new, forms, (made_rows, checked)
+                assert set(vec) <= self.block_keys
+                y, j = divmod(next(iter(vec)), nb)
+                assert of_word((y,) + self.basis[n - 1][j]) == grade
+                tail = self.basis[n - self.rel_degrees[i]][bidx]
+                assert self.grading.mul(of_word(next(iter(r))), of_word(tail)) == grade
+                self.block_checked += 1
+            yield i, bidx
 
     def _merge_block(self, n, grade, out):
         made_rows, checked = super()._merge_block(n, grade, out)
@@ -431,3 +433,21 @@ def test_degree_times_and_parts_are_recorded():
         # a degree forks only after a degree that took the threshold
         assert parts == 1 or eng.seconds[n - 1] >= nichols._FORK_SECONDS
         assert 1 <= parts <= min(len(os.sched_getaffinity(0)), 8)
+
+
+@pytest.mark.parametrize("parts", [1, 2], ids=["in-process", "2-part"])
+@pytest.mark.parametrize("engine", ["nichols", "quotient"])
+def test_grade_blocks_partition_every_degree(engine, parts, blocks_in_parts):
+    # blocks[n] lists degree n's basis words block by block: nonempty
+    # consecutive spans, each word of its block's grade, no grade twice
+    blocks_in_parts(parts)
+    p = _t_new_mod7()
+    eng = NicholsEngine(p.space) if engine == "nichols" else QuotientEngine(p)
+    eng.dims(8)
+    assert max(eng.parts.values()) == parts
+    assert sorted(eng.blocks) == list(range(9))
+    for n, blocks in eng.blocks.items():
+        assert all(span for _, span in blocks)
+        assert [i for _, span in blocks for i in span] == list(range(len(eng.basis[n])))
+        assert all(eng.grading.of_word(eng.basis[n][i]) == grade for grade, span in blocks for i in span)
+        assert len({grade for grade, _ in blocks}) == len(blocks)

@@ -111,7 +111,7 @@ def test_a_degree_one_grade_may_hold_letters_that_are_not_adjacent():
     space = _interleaved()
     eng = NicholsEngine(space)
     assert eng.basis[1] == [(0,), (2,), (1,)]
-    assert eng.grades[1][0] == eng.grades[1][1] != eng.grades[1][2]
+    assert [span for _, span in eng.blocks[1]] == [[0, 1], [2]]
     packed, plain = _both_stores(lambda: _nichols(space, 5))
     assert packed[1] == [1, 3, 5, 8, 13, 21]
     assert packed[1:] == plain[1:]
