@@ -45,7 +45,7 @@ def _load_space(rack_arg, cocycle_arg, field_spec):
             with open(cocycle_arg) as fh:
                 data = json.load(fh)
             r = _load_rack(data["rack"])
-            fld = parse_field(data["field"])
+            fld = parse_field(field_spec or data["field"])
             entries = [[fld.parse(v) for v in row] for row in data["values"]]
             return BraidedSpace(table_cocycle(r, fld, entries))
         fld = parse_field(field_spec) if field_spec else None
@@ -283,9 +283,15 @@ def cmd_classify(args):
 def cmd_verify_paper(args):
     t0 = time.perf_counter()
     report = verify.verify_paper(profile=args.profile)
-    payload = report.to_payload()
-    if args.format == "json":
-        print(json.dumps(payload, indent=2, default=str))
+    if args.format != "table":
+        # json prints the payload; csv writes one row per entry, with
+        # expected and computed as JSON cells
+        payload = report.to_payload()
+        rows = [(e["section"], e["name"], e["provenance"], json.dumps(e["expected"], default=str),
+                 json.dumps(e["computed"], default=str), e["match"], e["runtime_ms"])
+                for e in payload["entries"]]
+        _emit(payload, args.format, table_rows=rows,
+              header=("section", "name", "provenance", "expected", "computed", "match", "runtime_ms"))
     else:
         for e in report.entries:
             status = "ERROR" if e.provenance == "error" else "ok" if e.match else "MISMATCH"

@@ -206,13 +206,13 @@ class GradedEngine:
     Degree 0, the empty word with the unit grade, is the one seed; degree 1
     and every later degree are built in grade blocks, as below, and a
     subclass builds degree 1 before its constructor returns.  Degree n is
-    represented by a list of basis words, each of the form
-    letter + lower-degree basis word, together with:
+    represented by basis[n], its basis words, each stored as the key
+    y * nb + j (nb = len(basis[n-1])) of letter y times word j of degree
+    n-1, so a word is spelled key by key down to basis[0] = [()], with:
 
     * blocks[n]: the grade blocks that have basis words, in discovery
       order, each (grade, span) with span its words' basis[n] indices;
-    * nfmul[n][y * nb + j], nb = len(basis[n-1]): the class of the
-      candidate y * basis[n-1][j] expanded in basis[n];
+    * nfmul[n][y * nb + j]: the class of that candidate in basis[n];
     * spans[n][y * nb + j]: the basis indices of that candidate's grade
       block, the words its class can hold.
 
@@ -310,7 +310,7 @@ class GradedEngine:
         return max(1, min(_PARTS or len(os.sched_getaffinity(0)), nblocks))
 
     def _merge_block(self, n, grade, out):
-        """Append a block's words to degree n and blocks[n], set its forms; its extra.
+        """Append a block's keys to basis[n] and its span to blocks[n], set its forms; its extra.
 
         The block's words get the next indices, its span; a dict form is
         rebuilt on the span's ints, so nfmul's dicts share one int per
@@ -318,12 +318,10 @@ class GradedEngine:
         past 256.
         """
         new, forms, extra = out
-        words, prev, nb = self.basis[n], self.basis[n - 1], len(self.basis[n - 1])
-        span = list(range(len(words), len(words) + len(new)))
+        span = list(range(len(self.basis[n]), len(self.basis[n]) + len(new)))
+        self.basis[n] += new
         nf, spans, vs = self.nfmul[n], self.spans[n], self.vs
         for pos, key in enumerate(new):
-            y, j = divmod(key, nb)
-            words.append((y,) + prev[j])
             nf[key], spans[key] = vs.unit(span, pos), span
         if new:  # an empty span would give the next degree a grade with no keys
             self.blocks[n].append((grade, span))
@@ -348,7 +346,7 @@ class NicholsEngine(GradedEngine):
     """Graded data of the braided space's quotient by the symmetrizer kernels.
 
     Besides the basis and nfmul of :class:`GradedEngine` it keeps, for its
-    top degree n only, dmat[i] = {x: d_x(basis[n][i])}, each derivation a
+    top degree n only, dmat[i] = {x: d_x(word i)}, each derivation a
     vector of degree n-1 and only the nonzero ones kept (``derivations``
     reads them as dicts).  The empty word has none, so the seed is
     dmat = [{}], and degree 1's derivations d_x(y) = delta_{x,y} come from
@@ -365,7 +363,7 @@ class NicholsEngine(GradedEngine):
         self.extend(1)
 
     def derivations(self, i):
-        """{x: d_x(basis[n][i])} at the top degree n, each a dict over basis[n-1] indices."""
+        """{x: d_x(word i)} at the top degree n, each a dict over basis[n-1] indices."""
         return {x: self.vs.coords(dx) for x, dx in self.dmat[i].items()}
 
     def _build_degree(self, n):

@@ -155,9 +155,9 @@ def affine_rack(q, alpha, name=None):
     """Affine rack on F_q with x |> y = (1-a)x + ay, a = alpha.
 
     q is a prime or the square of a prime.  For prime q, ``alpha`` is an
-    integer mod q.  For q = p^2 the field model is Fp(p)[t]/(t^2 - n) with
-    the documented n (n = 1 mod 3 convention: t^2+1 for F9, t^2+2 for F25,
-    otherwise minus the smallest non-residue), and ``alpha`` is either an
+    integer mod q.  For q = p^2 the field model is Fp(p)[t] modulo the
+    documented modulus (t^2+t+1 for F4, t^2+1 for F9, t^2+2 for F25,
+    otherwise t^2 - n, n the smallest non-residue), and ``alpha`` is either an
     integer (image of the prime field) or a coefficient pair (a0, a1).
     """
     p, k = _prime_power(q)
@@ -205,6 +205,8 @@ def _prime_power(q):
 
 def _f_p2_modulus(p):
     """Monic degree-2 modulus for F_{p^2} over F_p, pinned per preset docs."""
+    if p == 2:
+        return [1, 1, 1]           # t^2 + t + 1: F_2 has no non-residue
     if p == 3:
         return [1, 0, 1]           # t^2 + 1
     if p == 5:

@@ -1,5 +1,6 @@
 """The direct graded-dimension method, a reference the tests compare the
-differential engine with: rank S_n blockwise over the Hurwitz orbits of X^n."""
+differential engine with: rank S_n blockwise over the Hurwitz orbits of X^n;
+and ``words``, which spells a graded engine's basis keys as letter tuples."""
 from braidrack.hurwitz import orbits as hurwitz_orbits
 from braidrack.linalg import rank
 from braidrack.nichols import operator_matrix, symmetrizer_apply
@@ -24,3 +25,16 @@ def graded_dim_direct(b, n):
         m = operator_matrix(f, o.tuples, lambda w: symmetrizer_apply(b, n, {w: f.one}))
         total += rank(f, m)
     return total
+
+
+def words(eng, n):
+    """basis[n] of a graded engine spelled as letter tuples.
+
+    The engine stores word i of degree m as the key y * nb + j,
+    nb = len(basis[m-1]): letter y followed by word j of degree m-1.
+    """
+    spelled = [()]
+    for m in range(1, n + 1):
+        nb = len(eng.basis[m - 1])
+        spelled = [(key // nb,) + spelled[key % nb] for key in eng.basis[m]]
+    return spelled

@@ -355,6 +355,21 @@ def test_nichols_dims_with_cocycle_file(tmp_path, capsys):
     assert json.loads(out)["dims"] == [1, 3, 4, 3, 1]
 
 
+def test_field_flag_replaces_a_cocycle_files_field(tmp_path, capsys):
+    # --field wins over the file's "field", as it does over a preset's
+    f = tmp_path / "cocycle.json"
+    f.write_text(json.dumps({"rack": "D3", "field": "QQ", "values": [["-1"] * 3] * 3}))
+    code, out = run(capsys, "--format", "json", "nichols", "dims", "--cocycle", str(f), "--field", "Fp(3)")
+    assert code == 0
+    assert out == run(capsys, "--format", "json", "nichols", "dims", "D3", "--field", "Fp(3)")[1]
+    assert json.loads(out)["field"] == "Fp(3)"
+    f.write_text(json.dumps({"rack": "D3", "field": "QQ[t]/(t^2+t+1)", "values": [["q"] * 3] * 3}))
+    code = main(["nichols", "dims", "--cocycle", str(f), "--field", "QQ"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert "'q'" in captured.err
+
+
 def test_malformed_cocycle_scalar_is_named_in_the_error(tmp_path, capsys):
     cocycle = {
         "rack": "D3",
@@ -472,6 +487,22 @@ def test_verify_paper_exits_1_on_a_mismatch(capsys, monkeypatch):
     code, out = run(capsys, "--format", "json", "verify-paper")
     assert code == 1
     assert len(json.loads(out)["entries"]) == 9
+
+
+def test_verify_paper_csv_reads_back_one_row_per_entry(capsys, monkeypatch):
+    report = verify.Report("quick")
+    report.add("P1-census", "D3", "enumeration", {"1": 3, "8": 3}, {"1": 3, "8": 3})
+    report.add("P0", "wrong, with a comma", "closed-form", [1, 2], [1, 3])
+    monkeypatch.setattr(verify, "verify_paper", lambda profile: report)
+    code, out = run(capsys, "--format", "csv", "verify-paper")
+    assert code == 1
+    rows = list(csv.reader(io.StringIO(out)))
+    assert rows[0] == ["section", "name", "provenance", "expected", "computed", "match", "runtime_ms"]
+    assert len(rows) == 1 + len(report.entries)
+    assert all(len(row) == len(rows[0]) for row in rows)
+    assert rows[2][:3] == ["P0", "wrong, with a comma", "closed-form"]
+    assert [json.loads(c) for c in rows[2][3:5]] == [[1, 2], [1, 3]]
+    assert [json.loads(c) for c in rows[1][3:5]] == [{"1": 3, "8": 3}] * 2
 
 
 def test_verify_paper_quick_json(capsys):

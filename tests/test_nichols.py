@@ -46,7 +46,7 @@ from braidrack.nichols import (
 )
 from braidrack.parallel import BlockProcessError, runs
 from braidrack.racks import preset, trivial_rack
-from direct_engine import graded_dim_direct
+from direct_engine import graded_dim_direct, words
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 
@@ -119,7 +119,7 @@ def _nichols_digest(eng):
     for n in sorted(eng.nfmul):
         nb = len(eng.basis[n - 1])
         assert len(eng.nfmul[n]) == eng.b.dim * nb and None not in eng.nfmul[n]
-        data.append((n, eng.basis[n], [
+        data.append((n, words(eng, n), [
             (divmod(key, nb), sorted((i, scalar(c)) for i, c in eng.form(n, key).items()))
             for key in range(len(eng.nfmul[n]))
         ]))
@@ -273,7 +273,7 @@ def test_stored_derivations_are_the_free_word_derivations(space, up_to):
     for n in range(1, up_to + 1):
         eng.extend(n)
         assert len(eng.dmat) == len(eng.basis[n])
-        for i, w in enumerate(eng.basis[n]):
+        for i, w in enumerate(words(eng, n)):
             for x in range(b.dim):
                 assert eng.derivations(i).get(x, {}) == eng.nf_vector(derive(b, x, {w: one}), n - 1)
 
@@ -289,22 +289,21 @@ def test_a_vector_of_mixed_degrees_has_no_normal_form():
     minus1("D3"), minus1("T"), transposition_model("A", 1), cocycle_preset("t-new"),
 ], ids=["D3-minus1", "T-minus1", "A-sign+1", "t-new"])
 def test_nfmul_relations_lie_in_the_symmetrizer_kernel(space):
-    # y * basis[n-1][j] minus its class in basis[n] is 0 in the Nichols algebra
+    # a dependent candidate y w minus its class in basis[n] is 0 in the Nichols
+    # algebra
     f = space.field
     eng = NicholsEngine(space)
     eng.dims(4)
     dependent = 0
     for n in range(2, 5):
-        words = set(eng.basis[n])
-        nb = len(eng.basis[n - 1])
+        kept, spelled, prev = set(eng.basis[n]), words(eng, n), words(eng, n - 1)
+        nb = len(prev)
         for key in range(len(eng.nfmul[n])):
-            coords = eng.form(n, key)
-            y, j = divmod(key, nb)
-            word = (y,) + eng.basis[n - 1][j]
-            if word in words:
+            if key in kept:
                 continue
-            vec = {word: f.one}
-            f.axpy(vec, {eng.basis[n][i]: c for i, c in coords.items()}, f.neg(f.one))
+            y, j = divmod(key, nb)
+            vec = {(y,) + prev[j]: f.one}
+            f.axpy(vec, {spelled[i]: c for i, c in eng.form(n, key).items()}, f.neg(f.one))
             assert symmetrizer_apply(space, n, vec) == {}
             dependent += 1
     assert dependent

@@ -27,6 +27,7 @@ from braidrack.presentations import (
     t_new_relations,
 )
 from braidrack.racks import preset
+from direct_engine import words
 
 
 def test_presentation_requires_homogeneous():
@@ -163,12 +164,13 @@ def test_quotient_normal_form_kills_every_two_sided_multiple(name, products):
         p = _t_new_mod7()
     eng = QuotientEngine(p)
     eng.extend(6)
+    spelled = [words(eng, m) for m in range(7)]
     count = 0
     for r, deg in zip(p.relations, eng.rel_degrees):
         for du in range(7 - deg):
             for dv in range(7 - deg - du):
-                for u in eng.basis[du]:
-                    for v in eng.basis[dv]:
+                for u in spelled[du]:
+                    for v in spelled[dv]:
                         vec = {u + w + v: c for w, c in r.items()}
                         assert eng.nf_vector(vec, du + deg + dv) == {}
                         count += 1
@@ -182,7 +184,7 @@ def test_basis_words_are_their_own_normal_forms(name):
     for eng in (NicholsEngine(space), QuotientEngine(Presentation(space, rels))):
         eng.extend(5)
         for n in range(6):
-            for i, w in enumerate(eng.basis[n]):
+            for i, w in enumerate(words(eng, n)):
                 assert eng.nf_vector({w: one}, n) == {i: one}
 
 
@@ -288,10 +290,15 @@ class _CheckBlockContract(_PlaceEveryRelation):
     key among that block's candidates, and g = grade(r) * grade(b), each
     grade read off the words themselves.  A block may run in a forked
     process, so it returns its count of checked placements beside its
-    extra, and the merge adds it up.
+    extra, and the merge adds it up.  The lower degrees' words are spelled
+    once per degree, before its blocks run.
     """
 
     checked = 0
+
+    def _build_degree(self, n):
+        self.spelled = [words(self, m) for m in range(n)]
+        super()._build_degree(n)
 
     def _reduce_block(self, n, grade, cands):
         self.block_keys, self.block_checked = set(cands), 0
@@ -299,15 +306,15 @@ class _CheckBlockContract(_PlaceEveryRelation):
         return new, forms, (made_rows, self.block_checked)
 
     def _placements(self, n, grade):
-        nb, of_word = len(self.basis[n - 1]), self.grading.of_word
+        nb, of_word, spelled = len(self.basis[n - 1]), self.grading.of_word, self.spelled
         for i, bidx in super()._placements(n, grade):
             r = self.p.relations[i]
             vec = _placement(self, r, bidx, n)
             if vec:
                 assert set(vec) <= self.block_keys
                 y, j = divmod(next(iter(vec)), nb)
-                assert of_word((y,) + self.basis[n - 1][j]) == grade
-                tail = self.basis[n - self.rel_degrees[i]][bidx]
+                assert of_word((y,) + spelled[n - 1][j]) == grade
+                tail = spelled[n - self.rel_degrees[i]][bidx]
                 assert self.grading.mul(of_word(next(iter(r))), of_word(tail)) == grade
                 self.block_checked += 1
             yield i, bidx
@@ -362,7 +369,7 @@ def _quotient_digest(eng):
     for n in sorted(eng.nfmul):
         nb = len(eng.basis[n - 1])
         assert len(eng.nfmul[n]) == eng.b.dim * nb and None not in eng.nfmul[n]
-        data.append((n, eng.basis[n], [
+        data.append((n, words(eng, n), [
             (divmod(key, nb), sorted(eng.form(n, key).items())) for key in range(len(eng.nfmul[n]))
         ]))
     return hashlib.sha256(repr(data).encode()).hexdigest()
@@ -449,5 +456,6 @@ def test_grade_blocks_partition_every_degree(engine, parts, blocks_in_parts):
     for n, blocks in eng.blocks.items():
         assert all(span for _, span in blocks)
         assert [i for _, span in blocks for i in span] == list(range(len(eng.basis[n])))
-        assert all(eng.grading.of_word(eng.basis[n][i]) == grade for grade, span in blocks for i in span)
+        spelled = words(eng, n)
+        assert all(eng.grading.of_word(spelled[i]) == grade for grade, span in blocks for i in span)
         assert len({grade for grade, _ in blocks}) == len(blocks)

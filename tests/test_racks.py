@@ -199,6 +199,14 @@ def test_affine_not_braided_cases():
     assert is_braided(affine_rack(7, 5))
 
 
+def test_affine_racks_over_f4_are_the_tetrahedral_rack():
+    # F_4 = Fp(2)[t]/(t^2+t+1); alpha = t and t + 1 both give T
+    for alpha in [(0, 1), (1, 1)]:
+        r = affine_rack(4, alpha)
+        assert is_braided(r)
+        assert isomorphism(r, preset("T")) is not None
+
+
 def test_braided_affine_param():
     assert braided_affine_param(7) in ((7, 3), (7, 5))
     assert braided_affine_param(13) in ((13, 4), (13, 10))

@@ -15,6 +15,7 @@ from braidrack.fields import GF
 from braidrack.nichols import NicholsEngine
 from braidrack.presentations import Presentation, QuotientEngine
 from braidrack.racks import preset, trivial_rack
+from direct_engine import words
 
 _PRIMES = [2, 3, 5, 7, 11, 13]
 
@@ -64,13 +65,12 @@ def _nichols_relations(space, up_to):
     eng.dims(up_to)
     rels = []
     for n in range(2, up_to + 1):
-        words, nb = set(eng.basis[n]), len(eng.basis[n - 1])
+        kept, spelled, prev = set(eng.basis[n]), words(eng, n), words(eng, n - 1)
         for key in range(len(eng.nfmul[n])):
-            y, j = divmod(key, nb)
-            word = (y,) + eng.basis[n - 1][j]
-            if word not in words:
-                rel = {eng.basis[n][i]: f.neg(c) for i, c in eng.form(n, key).items()}
-                rel[word] = f.one
+            if key not in kept:
+                y, j = divmod(key, len(prev))
+                rel = {spelled[i]: f.neg(c) for i, c in eng.form(n, key).items()}
+                rel[(y,) + prev[j]] = f.one
                 rels.append(rel)
     return rels
 
@@ -110,7 +110,7 @@ def test_a_degree_one_grade_may_hold_letters_that_are_not_adjacent():
     # letters 0 and 2 share a grade: their block's words are consecutive
     space = _interleaved()
     eng = NicholsEngine(space)
-    assert eng.basis[1] == [(0,), (2,), (1,)]
+    assert words(eng, 1) == [(0,), (2,), (1,)]
     assert [span for _, span in eng.blocks[1]] == [[0, 1], [2]]
     packed, plain = _both_stores(lambda: _nichols(space, 5))
     assert packed[1] == [1, 3, 5, 8, 13, 21]

@@ -20,6 +20,16 @@ def test_entry_times_sum_to_at_most_the_section_wall_time():
     assert sum(e.runtime_ms for e in rep.entries) <= wall_ms
 
 
+def test_t_series_section_matches_the_papers_series():
+    # P6 runs in the full profile only: T with q = -1 over QQ to degree 9,
+    # and with q = 1 over Fp(2) to degree 7
+    rep = verify.Report(profile="full")
+    verify.check_t_series(rep)
+    assert [e.name for e in rep.entries] == ["minus1-dims", "minus1-total", "char2-dims", "char2-total"]
+    assert rep.ok() and all(e.match for e in rep.entries)
+    assert [e.computed for e in rep.entries if e.name.endswith("total")] == [72, 36]
+
+
 def _zero_immunity(orbit):
     return PlagueResult(0, (), Fraction(0))
 
