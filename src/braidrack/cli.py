@@ -283,14 +283,14 @@ def cmd_classify(args):
 def cmd_verify_paper(args):
     t0 = time.perf_counter()
     report = verify.verify_paper(profile=args.profile)
-    if args.format != "table":
-        # json prints the payload; csv writes one row per entry, with
-        # expected and computed as JSON cells
-        payload = report.to_payload()
+    if args.format == "json":
+        _emit(report.to_payload(), "json")
+    elif args.format == "csv":
+        # one row per entry, with expected and computed as JSON cells
         rows = [(e["section"], e["name"], e["provenance"], json.dumps(e["expected"], default=str),
                  json.dumps(e["computed"], default=str), e["match"], e["runtime_ms"])
-                for e in payload["entries"]]
-        _emit(payload, args.format, table_rows=rows,
+                for e in report.to_payload()["entries"]]
+        _emit(None, "csv", table_rows=rows,
               header=("section", "name", "provenance", "expected", "computed", "match", "runtime_ms"))
     else:
         for e in report.entries:
